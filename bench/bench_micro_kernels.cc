@@ -197,7 +197,7 @@ void BM_SimdHashBytes(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * key.size());
   simd::SetEnabled(true);
 }
-BENCHMARK(BM_SimdHashBytes)->ArgName("simd")->Arg(0)->Arg(1);
+BENCHMARK(BM_SimdHashBytes)->ArgName("simd")->Arg(0);
 
 // ---- ORC integer RLE vs raw varints.
 

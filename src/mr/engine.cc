@@ -4,7 +4,9 @@
 #include <chrono>
 #include <map>
 #include <mutex>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 
 #include "common/stopwatch.h"
@@ -95,7 +97,7 @@ class CollectingEmitter : public ShuffleEmitter {
 /// `next` yields the next record or nullptr when exhausted.
 template <typename NextFn>
 Status DriveGroups(ReduceTask* reduce, NextFn&& next,
-                   const TaskGovernor* governor = nullptr) {
+                   const TaskGovernor& governor) {
   bool group_open = false;
   Row current_key;
   uint64_t records_seen = 0;
@@ -103,8 +105,8 @@ Status DriveGroups(ReduceTask* reduce, NextFn&& next,
        record = next()) {
     // Cancellation point: cheap enough to keep per-record cost negligible,
     // frequent enough that a dead query stops within one batch of records.
-    if (governor != nullptr && (++records_seen & 511u) == 0) {
-      MINIHIVE_RETURN_IF_ERROR(governor->CheckAlive());
+    if ((++records_seen & 511u) == 0) {
+      MINIHIVE_RETURN_IF_ERROR(governor.CheckAlive());
     }
     if (!group_open || !SameKey(current_key, record->key)) {
       if (group_open) {
@@ -128,13 +130,11 @@ Status DriveGroups(ReduceTask* reduce, NextFn&& next,
 /// and accounts the post-combine records as the task's shuffled bytes.
 Status SortAndCombineRuns(PartitionedEmitter* emitter, const JobConfig& job,
                           JobCounters* counters,
-                          const TaskGovernor* governor = nullptr) {
+                          const TaskGovernor& governor) {
   Stopwatch sort_watch;
   ShuffleLess less{&job.sort_ascending};
   for (auto& run : emitter->partitions()) {
-    if (governor != nullptr) {
-      MINIHIVE_RETURN_IF_ERROR(governor->CheckAlive());
-    }
+    MINIHIVE_RETURN_IF_ERROR(governor.CheckAlive());
     if (run.empty()) continue;
     std::sort(run.begin(), run.end(), less);
     if (job.combiner_factory) {
@@ -159,6 +159,65 @@ Status SortAndCombineRuns(PartitionedEmitter* emitter, const JobConfig& job,
       sort_watch.ElapsedMillis() * 1e6);
   return Status::OK();
 }
+
+/// Reduce-side k-way merge of one partition's per-map sorted runs: a binary
+/// heap of cursors reading the runs in place (no second copy of the
+/// partition), O(N log M) for M runs.
+class RunMerger {
+ public:
+  RunMerger(const std::vector<std::unique_ptr<PartitionedEmitter>>& emitters,
+            int partition, const std::vector<bool>* ascending)
+      : after_{ShuffleLess{ascending}} {
+    heap_.reserve(emitters.size());
+    for (size_t m = 0; m < emitters.size(); ++m) {
+      if (!emitters[m]) continue;
+      const auto& run = emitters[m]->partitions()[partition];
+      if (run.empty()) continue;
+      total_ += run.size();
+      heap_.push_back({&run, 0, static_cast<int>(m)});
+    }
+    std::make_heap(heap_.begin(), heap_.end(), after_);
+  }
+
+  /// Records across all runs.
+  size_t total() const { return total_; }
+
+  /// The next record in (key, tag, map task) order; nullptr once drained.
+  const ShuffleRecord* Next() {
+    if (heap_.empty()) return nullptr;
+    std::pop_heap(heap_.begin(), heap_.end(), after_);
+    Cursor& cursor = heap_.back();
+    const ShuffleRecord* record = &cursor.record();
+    if (++cursor.pos < cursor.run->size()) {
+      std::push_heap(heap_.begin(), heap_.end(), after_);
+    } else {
+      heap_.pop_back();
+    }
+    return record;
+  }
+
+ private:
+  struct Cursor {
+    const std::vector<ShuffleRecord>* run;
+    size_t pos;
+    int run_index;  // Map task index: the tie-break, for determinism.
+    const ShuffleRecord& record() const { return (*run)[pos]; }
+  };
+  // `after(a, b)` == "a merges after b": a min-heap via the inverted
+  // comparator of std::make_heap/push_heap (which build max-heaps).
+  struct After {
+    ShuffleLess less;
+    bool operator()(const Cursor& a, const Cursor& b) const {
+      if (less(b.record(), a.record())) return true;
+      if (less(a.record(), b.record())) return false;
+      return b.run_index < a.run_index;
+    }
+  };
+
+  After after_;
+  std::vector<Cursor> heap_;
+  size_t total_ = 0;
+};
 
 /// Runs `count` tasks on up to `workers` threads; collects the first error.
 Status RunParallel(int count, int workers,
@@ -189,6 +248,265 @@ Status RunParallel(int count, int workers,
   return first_error;
 }
 
+std::string KindName(TaskKind kind) {
+  return kind == TaskKind::kMap ? "map" : "reduce";
+}
+
+/// The job-level error for a task that ran out of attempts.
+Status TaskFailed(TaskKind kind, int index, int attempts, const Status& last) {
+  return Status(last.code(), KindName(kind) + " task " +
+                                 std::to_string(index) + " failed after " +
+                                 std::to_string(attempts) +
+                                 " attempts: " + last.message());
+}
+
+/// What a successful attempt hands back: its attempt-local counters and,
+/// for a map, its sorted (and combined) partition runs.
+struct AttemptProduct {
+  JobCounters counters;
+  std::unique_ptr<PartitionedEmitter> emitter;
+};
+
+/// One job's execution state: the task-attempt body, the two per-task
+/// runners, and the winning map runs the reduce phase merges. Both modes
+/// run the same attempt body; they differ only in who retries it.
+///
+/// With a dispatcher, every attempt goes through the DispatchCoordinator
+/// (retries with backoff, speculative duplicates, local fallback) and the
+/// transport's workers run RunAttempt. Each successful attempt parks its
+/// product under (kind, index, attempt); only the winning attempt's is
+/// folded into the job, so records and counters merge exactly once per
+/// logical task however many executions ran (message duplication,
+/// committed-but-lost responses, speculative duplicates).
+class JobExecution {
+ public:
+  JobExecution(const JobConfig& job, JobCounters* counters,
+               telemetry::Span* job_span, DispatchCoordinator* dispatcher)
+      : job_(job),
+        counters_(counters),
+        job_span_(job_span),
+        dispatcher_(dispatcher),
+        job_id_(dispatcher != nullptr ? dispatcher->NewJobId() : 0),
+        emitters_(job.splits.size()) {
+    if (dispatcher_ != nullptr) {
+      dispatcher_->StartJob(
+          job_id_,
+          [this](const TaskRequest& request, const CancellationToken* cancel) {
+            return Execute(request, cancel);
+          });
+    }
+  }
+  /// The JobGuard drain: no dispatched execution outlives the products, the
+  /// map runs or the executor, on every exit path.
+  ~JobExecution() {
+    if (dispatcher_ != nullptr) dispatcher_->EndJob(job_id_);
+  }
+  JobExecution(const JobExecution&) = delete;
+  JobExecution& operator=(const JobExecution&) = delete;
+
+  /// Dead-query check, at phase boundaries and between attempts.
+  Status QueryStatus() const {
+    return job_.query_ctx != nullptr ? job_.query_ctx->CheckAlive()
+                                     : Status::OK();
+  }
+
+  /// Runs one task until an attempt succeeds, its attempts run out, or the
+  /// query dies.
+  Status RunTask(TaskKind kind, int index) {
+    return dispatcher_ != nullptr ? RunDispatched(kind, index)
+                                  : RunLocal(kind, index);
+  }
+
+ private:
+  /// One task attempt under its own governor: run the map task and form its
+  /// sorted (and combined) runs, or k-way merge the partition's runs into
+  /// the reduce task; then commit, or abort on any failure. `cancel` is the
+  /// dispatcher's kill switch for this attempt (null in local mode).
+  /// Counters stay attempt-local, so a failed or duplicate attempt never
+  /// reaches the job's totals; on success they come back in the product.
+  Result<AttemptProduct> RunAttempt(TaskKind kind, int index, int attempt,
+                                    const CancellationToken* cancel) {
+    const JobConfig& job = job_;
+    const bool is_map = kind == TaskKind::kMap;
+    ThreadCpuTimer cpu;
+    TaskGovernor governor(job.query_ctx);
+    governor.set_attempt_timeout_millis(job.task_timeout_millis);
+    governor.set_attempt_cancel(cancel);
+    telemetry::Span* span =
+        job_span_ != nullptr
+            ? job_span_->StartChild(KindName(kind) + "[" +
+                                    std::to_string(index) + "]")
+            : nullptr;
+    AttemptProduct product;
+    JobCounters& local = product.counters;
+    Status s;
+    if (is_map) {
+      product.emitter = std::make_unique<PartitionedEmitter>(
+          std::max(job.num_reducers, 1), &local);
+      std::unique_ptr<MapTask> task = job.map_factory();
+      task->set_attempt_counters(&local);
+      task->set_governor(&governor);
+      s = task->Run(job.splits[index], index, attempt, product.emitter.get());
+    } else {
+      RunMerger merger(emitters_, index, &job.sort_ascending);
+      local.reduce_input_records += merger.total();
+      std::unique_ptr<ReduceTask> task = job.reduce_factory(index, attempt);
+      s = DriveGroups(task.get(), [&merger] { return merger.Next(); },
+                      governor);
+    }
+    // A task that never polls its governor is still caught here: a late
+    // kill, but deterministic — the attempt can't commit past its deadline.
+    if (s.ok()) s = governor.CheckAlive();
+    // Run formation stays on the worker thread, where the expensive sort
+    // work is cheap and parallel.
+    if (s.ok() && is_map && job.num_reducers > 0) {
+      s = SortAndCombineRuns(product.emitter.get(), job, &local, governor);
+    }
+    if (s.ok() && job.commit_task) s = job.commit_task(kind, index, attempt);
+    if (span != nullptr) {
+      span->SetAttr("attempt", static_cast<int64_t>(attempt));
+      if (is_map) {
+        span->SetAttr("split", job.splits[index].path);
+        span->SetAttr("records_in", local.map_input_records.load());
+        span->SetAttr("records_out", local.map_output_records.load());
+      } else {
+        span->SetAttr("records_in", local.reduce_input_records.load());
+      }
+      if (!s.ok()) span->SetAttr("error", s.ToString());
+      span->End();
+    }
+    if (!s.ok()) {
+      if (job.abort_task) job.abort_task(kind, index, attempt);
+      return s;
+    }
+    local.cpu_nanos += cpu.ElapsedNanos();
+    return product;
+  }
+
+  /// Folds a task's winning attempt into the job. Thread-safe across
+  /// distinct tasks.
+  void Accept(TaskKind kind, int index, AttemptProduct product) {
+    product.counters.AccumulateTaskLocalInto(counters_);
+    if (kind == TaskKind::kMap) emitters_[index] = std::move(product.emitter);
+  }
+
+  /// Local mode: retries immediately, up to max_task_attempts, and stops at
+  /// once when the query is dead (not a task failure, never retried).
+  Status RunLocal(TaskKind kind, int index) {
+    const int max_attempts = std::max(1, job_.max_task_attempts);
+    Status last;
+    for (int attempt = 0; attempt < max_attempts; ++attempt) {
+      MINIHIVE_RETURN_IF_ERROR(QueryStatus());
+      Stopwatch attempt_watch;
+      Result<AttemptProduct> product =
+          RunAttempt(kind, index, attempt, /*cancel=*/nullptr);
+      if (product.ok()) {
+        Accept(kind, index, std::move(*product));
+        if (kind == TaskKind::kReduce) {
+          // Release this partition's runs only after a successful attempt
+          // (a retry merges them again); the job may hold many partitions.
+          for (const auto& emitter : emitters_) {
+            if (emitter) {
+              auto& run = emitter->partitions()[index];
+              run.clear();
+              run.shrink_to_fit();
+            }
+          }
+        }
+        return Status::OK();
+      }
+      last = product.status();
+      MINIHIVE_RETURN_IF_ERROR(QueryStatus());
+      const double elapsed_millis = attempt_watch.ElapsedMillis();
+      (kind == TaskKind::kMap ? counters_->map_task_failures
+                              : counters_->reduce_task_failures) += 1;
+      // A straggler kill (the attempt outlived its deadline) is counted,
+      // then retried like any failure.
+      if (job_.task_timeout_millis > 0 &&
+          elapsed_millis >= job_.task_timeout_millis) {
+        counters_->tasks_timed_out += 1;
+      }
+      counters_->retried_task_nanos +=
+          static_cast<int64_t>(elapsed_millis * 1e6);
+    }
+    return TaskFailed(kind, index, max_attempts, last);
+  }
+
+  /// Dispatched mode: the coordinator retries; the engine folds in the
+  /// winning attempt's product. Unlike local mode, partition runs are NOT
+  /// freed after a reduce task succeeds: an abandoned duplicate execution
+  /// may still be merging them on a worker thread. They go with this
+  /// object, after the destructor has drained every execution.
+  Status RunDispatched(TaskKind kind, int index) {
+    DispatchOutcome outcome = dispatcher_->RunTask(
+        job_id_, job_.name, kind, index,
+        kind == TaskKind::kMap ? job_.splits[index] : InputSplit(),
+        job_.max_task_attempts, job_.query_ctx);
+    counters_->transport_dispatches += outcome.dispatches;
+    counters_->transport_retries += outcome.retries;
+    counters_->speculative_launches += outcome.speculative_launches;
+    if (outcome.speculative_won) counters_->speculative_wins += 1;
+    if (outcome.ran_local_fallback) counters_->transport_fallbacks += 1;
+    (kind == TaskKind::kMap ? counters_->map_task_failures
+                            : counters_->reduce_task_failures) +=
+        outcome.failures;
+    counters_->tasks_timed_out += outcome.timeouts;
+    counters_->retried_task_nanos += outcome.retried_nanos;
+    if (!outcome.status.ok()) {
+      MINIHIVE_RETURN_IF_ERROR(QueryStatus());
+      return TaskFailed(kind, index, outcome.failures, outcome.status);
+    }
+    AttemptProduct product;
+    {
+      std::lock_guard<std::mutex> lock(products_mu_);
+      auto it = products_.find({kind, index, outcome.winning_attempt});
+      if (it == products_.end()) {
+        return Status::Internal(
+            KindName(kind) + " task " + std::to_string(index) +
+            ": winning attempt " + std::to_string(outcome.winning_attempt) +
+            " left no result");
+      }
+      product = std::move(it->second);
+      products_.erase(it);
+    }
+    Accept(kind, index, std::move(product));
+    return Status::OK();
+  }
+
+  /// The registered executor: one decoded request in, one attempt out. Runs
+  /// on transport worker threads, inline for LocalTransport, and on launch
+  /// threads for the local fallback.
+  Status Execute(const TaskRequest& request, const CancellationToken* cancel) {
+    // The request crossed the transport: validate it before indexing.
+    const bool is_map = request.kind == TaskKind::kMap;
+    const int count =
+        is_map ? static_cast<int>(job_.splits.size()) : job_.num_reducers;
+    if (request.task_index < 0 || request.task_index >= count) {
+      return Status::InvalidArgument(
+          std::string(is_map ? "map task index" : "reduce partition") +
+          " out of range: " + std::to_string(request.task_index));
+    }
+    Result<AttemptProduct> product = RunAttempt(
+        request.kind, request.task_index, request.attempt, cancel);
+    if (!product.ok()) return product.status();
+    std::lock_guard<std::mutex> lock(products_mu_);
+    products_[{request.kind, request.task_index, request.attempt}] =
+        std::move(*product);
+    return Status::OK();
+  }
+
+  const JobConfig& job_;
+  JobCounters* counters_;
+  telemetry::Span* job_span_;
+  DispatchCoordinator* dispatcher_;  // Null in local mode.
+  const uint64_t job_id_;
+  // Winning map attempts' runs, one slot per map task; read-only during
+  // the reduce phase.
+  std::vector<std::unique_ptr<PartitionedEmitter>> emitters_;
+  std::mutex products_mu_;
+  std::map<std::tuple<TaskKind, int, int>, AttemptProduct> products_;
+};
+
 }  // namespace
 
 Engine::Engine(dfs::FileSystem* fs, EngineOptions options)
@@ -217,523 +535,49 @@ Status Engine::RunJob(const JobConfig& job, JobCounters* counters) {
   counters->map_tasks = static_cast<int>(job.splits.size());
   counters->reduce_tasks = job.num_reducers;
 
-  // Folds counters into the job span and closes it on every exit path.
-  auto finish_job = [&](Status s) -> Status {
-    if (job_span != nullptr) {
-      counters->ExportToSpan(job_span);
-      if (!s.ok()) job_span->SetAttr("error", s.ToString());
-      job_span->End();
-    }
-    return s;
-  };
-
-  // Dead-query check at phase boundaries. Counted once per job: tasks that
-  // die of the same cause inside a phase do not re-bump the counter.
-  auto query_dead_status = [&]() -> Status {
-    return job.query_ctx != nullptr ? job.query_ctx->CheckAlive()
-                                    : Status::OK();
-  };
+  Status status;
   {
-    Status alive = query_dead_status();
-    if (!alive.ok()) {
-      counters->queries_cancelled += 1;
-      return finish_job(alive);
-    }
-  }
-
-  // Distributed mode: route every task attempt through the dispatch layer.
-  if (options_.dispatcher != nullptr) {
-    return finish_job(RunJobDispatched(job, counters, job_span));
-  }
-
-  // ---- Map phase: run the map task, then form this task's sorted
-  // (and combined) runs while still on the worker thread — the expensive
-  // sort work happens where it is cheap and parallel.
-  Stopwatch map_watch;
-  int num_partitions = std::max(job.num_reducers, 1);
-  const int max_attempts = std::max(1, job.max_task_attempts);
-  std::vector<std::unique_ptr<PartitionedEmitter>> emitters(job.splits.size());
-  Status status = RunTasks(
-      static_cast<int>(job.splits.size()),
-      [&](int index) -> Status {
-        ThreadCpuTimer cpu;
-        Status s;
-        bool query_dead = false;
-        for (int attempt = 0; attempt < max_attempts; ++attempt) {
-          // Fast exit: a task picked up (or retried) after the query died
-          // must not start another attempt.
-          s = query_dead_status();
-          if (!s.ok()) {
-            query_dead = true;
-            break;
-          }
-          Stopwatch attempt_watch;
-          TaskGovernor governor(job.query_ctx);
-          governor.set_attempt_timeout_millis(job.task_timeout_millis);
-          telemetry::Span* attempt_span =
-              job_span != nullptr
-                  ? job_span->StartChild("map[" + std::to_string(index) + "]")
-                  : nullptr;
-          // Attempt-local counters, merged only on success: a retried
-          // attempt must never double-count records.
-          JobCounters local;
-          auto emitter =
-              std::make_unique<PartitionedEmitter>(num_partitions, &local);
-          std::unique_ptr<MapTask> task = job.map_factory();
-          task->set_attempt_counters(&local);
-          task->set_governor(&governor);
-          s = task->Run(job.splits[index], index, attempt, emitter.get());
-          // A task that never polls its governor is still caught here: a
-          // late kill, but deterministic — the attempt can't commit past
-          // its deadline.
-          if (s.ok()) s = governor.CheckAlive();
-          if (s.ok() && job.num_reducers > 0) {
-            s = SortAndCombineRuns(emitter.get(), job, &local, &governor);
-          }
-          if (s.ok() && job.commit_task) {
-            s = job.commit_task(TaskKind::kMap, index, attempt);
-          }
-          if (attempt_span != nullptr) {
-            attempt_span->SetAttr("attempt", static_cast<int64_t>(attempt));
-            attempt_span->SetAttr("split", job.splits[index].path);
-            attempt_span->SetAttr("records_in",
-                                  local.map_input_records.load());
-            attempt_span->SetAttr("records_out",
-                                  local.map_output_records.load());
-            if (!s.ok()) attempt_span->SetAttr("error", s.ToString());
-            attempt_span->End();
-          }
-          if (s.ok()) {
-            local.AccumulateTaskLocalInto(counters);
-            emitters[index] = std::move(emitter);
-            break;
-          }
-          if (job.abort_task) job.abort_task(TaskKind::kMap, index, attempt);
-          // Classify the failure. Dead query: stop, not a task failure and
-          // never retried. Attempt timeout (straggler kill): counted, then
-          // retried like any failure.
-          Status alive = query_dead_status();
-          if (!alive.ok()) {
-            s = alive;
-            query_dead = true;
-            break;
-          }
-          counters->map_task_failures += 1;
-          if (governor.AttemptTimedOut()) counters->tasks_timed_out += 1;
-          counters->retried_task_nanos +=
-              static_cast<int64_t>(attempt_watch.ElapsedMillis() * 1e6);
-        }
-        counters->cpu_nanos += cpu.ElapsedNanos();
-        if (!s.ok() && !query_dead) {
-          return Status(s.code(),
-                        "map task " + std::to_string(index) +
-                            " failed after " + std::to_string(max_attempts) +
-                            " attempts: " + s.message());
-        }
-        return s;
-      });
-  if (!status.ok()) {
-    if (!query_dead_status().ok()) counters->queries_cancelled += 1;
-    return finish_job(status);
-  }
-  counters->map_phase_millis = map_watch.ElapsedMillis();
-
-  if (job.num_reducers == 0) return finish_job(Status::OK());
-  if (!job.reduce_factory) {
-    return finish_job(
-        Status::InvalidArgument("job has reducers but no reduce factory"));
-  }
-  {
-    Status alive = query_dead_status();
-    if (!alive.ok()) {
-      counters->queries_cancelled += 1;
-      return finish_job(alive);
-    }
-  }
-
-  // ---- Shuffle + reduce phase (starts after the whole map phase). Each
-  // reduce task k-way merges its partition's per-map sorted runs with a
-  // binary heap — O(N log M) for M runs, reading the runs in place (no
-  // second copy of the partition) — and pushes the merged stream into the
-  // Reducer Driver with group boundary signals.
-  Stopwatch reduce_watch;
-  status = RunTasks(
-      job.num_reducers, [&](int partition) -> Status {
-        ThreadCpuTimer cpu;
-        struct RunCursor {
-          const std::vector<ShuffleRecord>* run;
-          size_t pos;
-          int run_index;  // Map task index: the tie-break, for determinism.
-          const ShuffleRecord& record() const { return (*run)[pos]; }
-        };
-        ShuffleLess less{&job.sort_ascending};
-        // `after(a, b)` == "a merges after b": a min-heap via the inverted
-        // comparator of std::make_heap/push_heap (which build max-heaps).
-        auto after = [&less](const RunCursor& a, const RunCursor& b) {
-          if (less(b.record(), a.record())) return true;
-          if (less(a.record(), b.record())) return false;
-          return b.run_index < a.run_index;
-        };
-        Status s;
-        bool query_dead = false;
-        for (int attempt = 0; attempt < max_attempts; ++attempt) {
-          s = query_dead_status();
-          if (!s.ok()) {
-            query_dead = true;
-            break;
-          }
-          Stopwatch attempt_watch;
-          TaskGovernor governor(job.query_ctx);
-          governor.set_attempt_timeout_millis(job.task_timeout_millis);
-          telemetry::Span* attempt_span =
-              job_span != nullptr
-                  ? job_span->StartChild("reduce[" +
-                                         std::to_string(partition) + "]")
-                  : nullptr;
-          JobCounters local;
-          std::vector<RunCursor> heap;
-          heap.reserve(emitters.size());
-          size_t total = 0;
-          for (size_t m = 0; m < emitters.size(); ++m) {
-            if (!emitters[m]) continue;
-            const auto& run = emitters[m]->partitions()[partition];
-            if (run.empty()) continue;
-            total += run.size();
-            heap.push_back({&run, 0, static_cast<int>(m)});
-          }
-          std::make_heap(heap.begin(), heap.end(), after);
-          local.reduce_input_records += total;
-
-          std::unique_ptr<ReduceTask> task =
-              job.reduce_factory(partition, attempt);
-          auto next = [&]() -> const ShuffleRecord* {
-            if (heap.empty()) return nullptr;
-            std::pop_heap(heap.begin(), heap.end(), after);
-            RunCursor& cursor = heap.back();
-            const ShuffleRecord* record = &cursor.record();
-            if (++cursor.pos < cursor.run->size()) {
-              std::push_heap(heap.begin(), heap.end(), after);
-            } else {
-              heap.pop_back();
-            }
-            return record;
-          };
-          s = DriveGroups(task.get(), next, &governor);
-          if (s.ok()) s = governor.CheckAlive();
-          if (s.ok() && job.commit_task) {
-            s = job.commit_task(TaskKind::kReduce, partition, attempt);
-          }
-          if (attempt_span != nullptr) {
-            attempt_span->SetAttr("attempt", static_cast<int64_t>(attempt));
-            attempt_span->SetAttr("records_in",
-                                  local.reduce_input_records.load());
-            if (!s.ok()) attempt_span->SetAttr("error", s.ToString());
-            attempt_span->End();
-          }
-          if (s.ok()) {
-            local.AccumulateTaskLocalInto(counters);
-            // Release this partition's runs only after a successful attempt
-            // (a retry merges them again); the job may hold many partitions.
-            for (const auto& emitter : emitters) {
-              if (emitter) {
-                auto& run = emitter->partitions()[partition];
-                run.clear();
-                run.shrink_to_fit();
-              }
-            }
-            break;
-          }
-          if (job.abort_task) {
-            job.abort_task(TaskKind::kReduce, partition, attempt);
-          }
-          Status alive = query_dead_status();
-          if (!alive.ok()) {
-            s = alive;
-            query_dead = true;
-            break;
-          }
-          counters->reduce_task_failures += 1;
-          if (governor.AttemptTimedOut()) counters->tasks_timed_out += 1;
-          counters->retried_task_nanos +=
-              static_cast<int64_t>(attempt_watch.ElapsedMillis() * 1e6);
-        }
-        counters->cpu_nanos += cpu.ElapsedNanos();
-        if (!s.ok() && !query_dead) {
-          return Status(s.code(),
-                        "reduce task " + std::to_string(partition) +
-                            " failed after " + std::to_string(max_attempts) +
-                            " attempts: " + s.message());
-        }
-        return s;
-      });
-  if (!status.ok()) {
-    if (!query_dead_status().ok()) counters->queries_cancelled += 1;
-    return finish_job(status);
-  }
-  counters->reduce_phase_millis = reduce_watch.ElapsedMillis();
-  return finish_job(Status::OK());
-}
-
-Status Engine::RunJobDispatched(const JobConfig& job, JobCounters* counters,
-                                telemetry::Span* job_span) {
-  DispatchCoordinator* dispatcher = options_.dispatcher;
-  const uint64_t job_id = dispatcher->NewJobId();
-  const int num_partitions = std::max(job.num_reducers, 1);
-  const int max_attempts = std::max(1, job.max_task_attempts);
-
-  auto query_dead_status = [&]() -> Status {
-    return job.query_ctx != nullptr ? job.query_ctx->CheckAlive()
-                                    : Status::OK();
-  };
-  if (job.num_reducers > 0 && !job.reduce_factory) {
-    return Status::InvalidArgument("job has reducers but no reduce factory");
-  }
-
-  // Successful attempt products, keyed (task_index, attempt). Duplicate
-  // executions of a task (message duplication, committed-but-lost
-  // responses, speculative duplicates) each store their own product under
-  // their own attempt id; the engine consumes exactly the winning
-  // attempt's, so records and counters merge exactly once per logical
-  // task no matter how many attempts actually ran.
-  struct MapCandidate {
-    std::unique_ptr<PartitionedEmitter> emitter;
-    JobCounters local;
-  };
-  std::mutex candidates_mu;
-  std::map<std::pair<int, int>, MapCandidate> map_candidates;
-  std::map<std::pair<int, int>, JobCounters> reduce_candidates;
-
-  // Winning map emitters, filled by the engine thread as each map task's
-  // dispatch settles; read-only during the reduce phase. Unlike the local
-  // path, partition runs are NOT cleared after a reduce task succeeds: an
-  // abandoned duplicate execution may still be merging them on a worker
-  // thread. Memory is released when this frame unwinds — safe, because
-  // the JobGuard below drains every in-flight execution first.
-  std::vector<std::unique_ptr<PartitionedEmitter>> emitters(job.splits.size());
-
-  // The worker-side attempt body: one decoded request in, one complete
-  // attempt out (run + sort/combine + commit, or abort). Runs on transport
-  // worker threads, inline for LocalTransport, and on launch threads for
-  // the local fallback.
-  TaskExecutor executor = [&](const TaskRequest& request,
-                              const CancellationToken* cancel) -> Status {
-    ThreadCpuTimer cpu;
-    TaskGovernor governor(job.query_ctx);
-    governor.set_attempt_timeout_millis(job.task_timeout_millis);
-    governor.set_attempt_cancel(cancel);
-    const bool is_map = request.kind == TaskKind::kMap;
-    telemetry::Span* attempt_span =
-        job_span != nullptr
-            ? job_span->StartChild((is_map ? "map[" : "reduce[") +
-                                   std::to_string(request.task_index) + "]")
-            : nullptr;
-    JobCounters local;
-    Status s;
-    if (is_map) {
-      if (request.task_index < 0 ||
-          request.task_index >= static_cast<int>(job.splits.size())) {
-        s = Status::InvalidArgument("map task index out of range: " +
-                                    std::to_string(request.task_index));
-      } else {
-        auto emitter =
-            std::make_unique<PartitionedEmitter>(num_partitions, &local);
-        std::unique_ptr<MapTask> task = job.map_factory();
-        task->set_attempt_counters(&local);
-        task->set_governor(&governor);
-        s = task->Run(job.splits[request.task_index], request.task_index,
-                      request.attempt, emitter.get());
-        if (s.ok()) s = governor.CheckAlive();
-        if (s.ok() && job.num_reducers > 0) {
-          s = SortAndCombineRuns(emitter.get(), job, &local, &governor);
-        }
-        if (s.ok() && job.commit_task) {
-          s = job.commit_task(TaskKind::kMap, request.task_index,
-                              request.attempt);
-        }
-        if (s.ok()) {
-          local.cpu_nanos += cpu.ElapsedNanos();
-          std::lock_guard<std::mutex> lock(candidates_mu);
-          map_candidates[{request.task_index, request.attempt}] =
-              MapCandidate{std::move(emitter), local};
-        }
+    JobExecution execution(job, counters, job_span, options_.dispatcher);
+    // One phase: a dead-query check at its boundary, then every task fanned
+    // out through the mode's per-task runner. A dead query is counted once
+    // per job: tasks that die of the same cause inside a phase do not
+    // re-bump the counter.
+    auto run_phase = [&](TaskKind kind, int count,
+                         double* phase_millis) -> Status {
+      Stopwatch watch;
+      Status s = execution.QueryStatus();
+      if (s.ok()) {
+        s = RunTasks(count, [&](int index) {
+          return execution.RunTask(kind, index);
+        });
       }
+      if (s.ok()) {
+        *phase_millis = watch.ElapsedMillis();
+      } else if (!execution.QueryStatus().ok()) {
+        counters->queries_cancelled += 1;
+      }
+      return s;
+    };
+    if (job.num_reducers > 0 && !job.reduce_factory &&
+        execution.QueryStatus().ok()) {
+      status =
+          Status::InvalidArgument("job has reducers but no reduce factory");
     } else {
-      const int partition = request.task_index;
-      if (partition < 0 || partition >= job.num_reducers) {
-        s = Status::InvalidArgument("reduce partition out of range: " +
-                                    std::to_string(partition));
-      } else {
-        struct RunCursor {
-          const std::vector<ShuffleRecord>* run;
-          size_t pos;
-          int run_index;
-          const ShuffleRecord& record() const { return (*run)[pos]; }
-        };
-        ShuffleLess less{&job.sort_ascending};
-        auto after = [&less](const RunCursor& a, const RunCursor& b) {
-          if (less(b.record(), a.record())) return true;
-          if (less(a.record(), b.record())) return false;
-          return b.run_index < a.run_index;
-        };
-        std::vector<RunCursor> heap;
-        heap.reserve(emitters.size());
-        size_t total = 0;
-        for (size_t m = 0; m < emitters.size(); ++m) {
-          if (!emitters[m]) continue;
-          const auto& run = emitters[m]->partitions()[partition];
-          if (run.empty()) continue;
-          total += run.size();
-          heap.push_back({&run, 0, static_cast<int>(m)});
-        }
-        std::make_heap(heap.begin(), heap.end(), after);
-        local.reduce_input_records += total;
-        std::unique_ptr<ReduceTask> task =
-            job.reduce_factory(partition, request.attempt);
-        auto next = [&]() -> const ShuffleRecord* {
-          if (heap.empty()) return nullptr;
-          std::pop_heap(heap.begin(), heap.end(), after);
-          RunCursor& cursor = heap.back();
-          const ShuffleRecord* record = &cursor.record();
-          if (++cursor.pos < cursor.run->size()) {
-            std::push_heap(heap.begin(), heap.end(), after);
-          } else {
-            heap.pop_back();
-          }
-          return record;
-        };
-        s = DriveGroups(task.get(), next, &governor);
-        if (s.ok()) s = governor.CheckAlive();
-        if (s.ok() && job.commit_task) {
-          s = job.commit_task(TaskKind::kReduce, partition, request.attempt);
-        }
-        if (s.ok()) {
-          local.cpu_nanos += cpu.ElapsedNanos();
-          std::lock_guard<std::mutex> lock(candidates_mu);
-          reduce_candidates[{partition, request.attempt}] = local;
-        }
+      // The reduce phase starts only after the whole map phase finishes.
+      status = run_phase(TaskKind::kMap, static_cast<int>(job.splits.size()),
+                         &counters->map_phase_millis);
+      if (status.ok() && job.num_reducers > 0) {
+        status = run_phase(TaskKind::kReduce, job.num_reducers,
+                           &counters->reduce_phase_millis);
       }
     }
-    if (attempt_span != nullptr) {
-      attempt_span->SetAttr("attempt",
-                            static_cast<int64_t>(request.attempt));
-      if (is_map) {
-        attempt_span->SetAttr("records_in", local.map_input_records.load());
-        attempt_span->SetAttr("records_out",
-                              local.map_output_records.load());
-      } else {
-        attempt_span->SetAttr("records_in",
-                              local.reduce_input_records.load());
-      }
-      if (!s.ok()) attempt_span->SetAttr("error", s.ToString());
-      attempt_span->End();
-    }
-    if (!s.ok() && job.abort_task) {
-      job.abort_task(request.kind, request.task_index, request.attempt);
-    }
-    return s;
-  };
-
-  dispatcher->StartJob(job_id, executor);
-  // Drain every in-flight execution before this frame (the candidate maps,
-  // the emitters, the executor itself) unwinds — on every exit path.
-  struct JobGuard {
-    DispatchCoordinator* dispatcher;
-    uint64_t job_id;
-    ~JobGuard() { dispatcher->EndJob(job_id); }
-  } guard{dispatcher, job_id};
-
-  auto fold_outcome = [&](const DispatchOutcome& outcome, TaskKind kind) {
-    counters->transport_dispatches += outcome.dispatches;
-    counters->transport_retries += outcome.retries;
-    counters->speculative_launches += outcome.speculative_launches;
-    if (outcome.speculative_won) counters->speculative_wins += 1;
-    if (outcome.ran_local_fallback) counters->transport_fallbacks += 1;
-    if (kind == TaskKind::kMap) {
-      counters->map_task_failures += outcome.failures;
-    } else {
-      counters->reduce_task_failures += outcome.failures;
-    }
-    counters->tasks_timed_out += outcome.timeouts;
-    counters->retried_task_nanos += outcome.retried_nanos;
-  };
-
-  Stopwatch map_watch;
-  Status status = RunTasks(
-      static_cast<int>(job.splits.size()), [&](int index) -> Status {
-        DispatchOutcome outcome = dispatcher->RunTask(
-            job_id, job.name, TaskKind::kMap, index, job.splits[index],
-            max_attempts, job.query_ctx);
-        fold_outcome(outcome, TaskKind::kMap);
-        if (!outcome.status.ok()) {
-          Status alive = query_dead_status();
-          if (!alive.ok()) return alive;
-          return Status(outcome.status.code(),
-                        "map task " + std::to_string(index) +
-                            " failed after " +
-                            std::to_string(outcome.failures) +
-                            " attempts: " + outcome.status.message());
-        }
-        std::lock_guard<std::mutex> lock(candidates_mu);
-        auto it = map_candidates.find({index, outcome.winning_attempt});
-        if (it == map_candidates.end()) {
-          return Status::Internal(
-              "map task " + std::to_string(index) + ": winning attempt " +
-              std::to_string(outcome.winning_attempt) + " left no result");
-        }
-        it->second.local.AccumulateTaskLocalInto(counters);
-        emitters[index] = std::move(it->second.emitter);
-        map_candidates.erase(it);
-        return Status::OK();
-      });
-  if (!status.ok()) {
-    if (!query_dead_status().ok()) counters->queries_cancelled += 1;
-    return status;
   }
-  counters->map_phase_millis = map_watch.ElapsedMillis();
-
-  if (job.num_reducers == 0) return Status::OK();
-  {
-    Status alive = query_dead_status();
-    if (!alive.ok()) {
-      counters->queries_cancelled += 1;
-      return alive;
-    }
+  if (job_span != nullptr) {
+    counters->ExportToSpan(job_span);
+    if (!status.ok()) job_span->SetAttr("error", status.ToString());
+    job_span->End();
   }
-
-  Stopwatch reduce_watch;
-  const InputSplit empty_split;
-  status = RunTasks(job.num_reducers, [&](int partition) -> Status {
-    DispatchOutcome outcome = dispatcher->RunTask(
-        job_id, job.name, TaskKind::kReduce, partition, empty_split,
-        max_attempts, job.query_ctx);
-    fold_outcome(outcome, TaskKind::kReduce);
-    if (!outcome.status.ok()) {
-      Status alive = query_dead_status();
-      if (!alive.ok()) return alive;
-      return Status(outcome.status.code(),
-                    "reduce task " + std::to_string(partition) +
-                        " failed after " +
-                        std::to_string(outcome.failures) +
-                        " attempts: " + outcome.status.message());
-    }
-    std::lock_guard<std::mutex> lock(candidates_mu);
-    auto it = reduce_candidates.find({partition, outcome.winning_attempt});
-    if (it == reduce_candidates.end()) {
-      return Status::Internal(
-          "reduce task " + std::to_string(partition) +
-          ": winning attempt " + std::to_string(outcome.winning_attempt) +
-          " left no result");
-    }
-    it->second.AccumulateTaskLocalInto(counters);
-    reduce_candidates.erase(it);
-    return Status::OK();
-  });
-  if (!status.ok()) {
-    if (!query_dead_status().ok()) counters->queries_cancelled += 1;
-    return status;
-  }
-  counters->reduce_phase_millis = reduce_watch.ElapsedMillis();
-  return Status::OK();
+  return status;
 }
 
 Result<std::vector<InputSplit>> ComputeSplits(

@@ -52,6 +52,8 @@ struct JobCounters {
   /// combiner kept off the wire.
   std::atomic<uint64_t> combine_input_records{0};
   std::atomic<uint64_t> combine_output_records{0};
+  /// Thread CPU time of each task's winning attempt only, in both modes:
+  /// the cost of failed attempts is in retried_task_nanos instead.
   std::atomic<int64_t> cpu_nanos{0};
   /// Wall time spent forming sorted runs inside map tasks (run sort +
   /// combine), summed over tasks; runs in parallel, so it can exceed
@@ -372,13 +374,6 @@ class Engine {
   /// Fans `fn(0..count-1)` out across the configured scheduler queue when
   /// one is set, else across an engine-private thread pool.
   Status RunTasks(int count, const std::function<Status(int)>& fn);
-
-  /// RunJob's body when a DispatchCoordinator is configured: registers the
-  /// attempt executor with the transport and routes every task through
-  /// DispatchCoordinator::RunTask, merging only the winning attempt's
-  /// results (exactly-once accounting across duplicate executions).
-  Status RunJobDispatched(const JobConfig& job, JobCounters* counters,
-                          telemetry::Span* job_span);
 
   dfs::FileSystem* fs_;
   EngineOptions options_;

@@ -123,9 +123,10 @@ class WorkerTransport {
 };
 
 /// The in-process fast path: Dispatch runs the executor inline on the
-/// calling thread — no serialization, no extra threads, no faults. This is
-/// the degenerate transport the engine's local pool maps onto, and the
-/// baseline the dispatch bench compares the simulated-remote path against.
+/// calling thread — no serialization, no extra threads, no faults. It is
+/// the baseline the dispatch bench compares the simulated-remote path
+/// against. The engine's local mode does not go through it: without a
+/// dispatcher the engine runs and retries attempts on its own threads.
 class LocalTransport : public WorkerTransport {
  public:
   explicit LocalTransport(int num_workers) : num_workers_(num_workers) {}

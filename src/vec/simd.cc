@@ -96,9 +96,9 @@ uint64_t LoadLane(const uint8_t* p) {
   return v;
 }
 
-// Shared block structure for HashBytes: 32-byte blocks feed 4 independent
-// 64-bit lanes; the tail and finalizer are scalar in both arms. The lane
-// recurrence is lane = mix(lane ^ input).
+// Block structure for HashBytes: 32-byte blocks feed 4 independent 64-bit
+// lanes, then the tail and the finalizer. The lane recurrence is
+// lane = mix(lane ^ input).
 uint64_t HashFinish(const uint64_t lanes[4], const uint8_t* tail,
                     size_t tail_len, size_t total_len) {
   uint64_t h = lanes[0];
@@ -371,30 +371,6 @@ __attribute__((target("avx2"))) void ArithScalarF64Avx2(Arith op,
   }
 }
 
-__attribute__((target("avx2"))) uint64_t HashBytesAvx2(const uint8_t* p,
-                                                       size_t n,
-                                                       uint64_t seed) {
-  alignas(32) uint64_t lanes[4] = {
-      seed ^ 0x9e3779b97f4a7c15ULL, seed + 0x6a09e667f3bcc909ULL,
-      seed ^ 0xbf58476d1ce4e5b9ULL, seed + 0x94d049bb133111ebULL};
-  __m256i state = _mm256_load_si256(reinterpret_cast<const __m256i*>(lanes));
-  const __m256i mul = _mm256_set1_epi64x(
-      static_cast<int64_t>(0xff51afd7ed558ccdULL));
-  size_t blocks = n / 32;
-  for (size_t b = 0; b < blocks; ++b) {
-    __m256i input =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + b * 32));
-    // mix(state ^ input) per lane: xorshift 33, 64-bit mul, xorshift 29.
-    __m256i h = _mm256_xor_si256(state, input);
-    h = _mm256_xor_si256(h, _mm256_srli_epi64(h, 33));
-    h = MulI64(h, mul);
-    h = _mm256_xor_si256(h, _mm256_srli_epi64(h, 29));
-    state = h;
-  }
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), state);
-  return HashFinish(lanes, p + blocks * 32, n - blocks * 32, n);
-}
-
 #endif  // MINIHIVE_SIMD_AVX2
 
 }  // namespace
@@ -521,11 +497,7 @@ void ArithColColF64(Arith op, const double* a, const double* b, int n,
 }
 
 uint64_t HashBytes(const void* data, size_t n, uint64_t seed) {
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-#ifdef MINIHIVE_SIMD_AVX2
-  if (UsingAvx2()) return HashBytesAvx2(p, n, seed);
-#endif
-  return HashBytesScalar(p, n, seed);
+  return HashBytesScalar(static_cast<const uint8_t*>(data), n, seed);
 }
 
 }  // namespace minihive::simd

@@ -5,8 +5,12 @@
 #include <algorithm>
 #include <map>
 #include <mutex>
+#include <string>
+#include <vector>
 
 #include "common/random.h"
+#include "common/worker_manager.h"
+#include "mr/transport.h"
 
 namespace minihive::mr {
 namespace {
@@ -670,6 +674,172 @@ TEST(EngineTest, FailingCommitHookFailsTheAttempt) {
   ASSERT_TRUE(engine.RunJob(job, &counters).ok());
   EXPECT_EQ(commit_calls.load(), 2);
   EXPECT_EQ(counters.map_task_failures.load(), 1u);
+}
+
+/// A DispatchCoordinator over the in-process LocalTransport, with the
+/// heartbeat monitor and speculation off so each task's attempt timeline is
+/// the same as the plain engine's.
+struct LocalDispatch {
+  static WorkerPoolOptions Pool() {
+    WorkerPoolOptions options;
+    options.num_workers = 2;
+    options.simulate_remote = false;
+    options.heartbeat_millis = 0;
+    options.speculative_threshold = 0;
+    options.retry_backoff.base_millis = 1;
+    options.retry_backoff.max_millis = 2;
+    return options;
+  }
+
+  LocalTransport transport{2};
+  WorkerManager manager{Pool()};
+  DispatchCoordinator coordinator{&transport, &manager};
+};
+
+/// "name{key,key,...}" for every attempt span under `job_span`, sorted: the
+/// attempt spans' names and attribute keys, without timings or values.
+std::vector<std::string> AttemptSpanShapes(const telemetry::Span& job_span) {
+  std::vector<std::string> shapes;
+  for (const telemetry::Span* span : job_span.children()) {
+    // Render's first line: "name  (t ms)  [k=v, k=v]".
+    std::string line = span->Render();
+    line = line.substr(0, line.find('\n'));
+    std::string shape = span->name() + "{";
+    size_t pos = line.find("  [");
+    if (pos != std::string::npos) {
+      std::string attrs = line.substr(pos + 3, line.size() - pos - 4);
+      for (pos = 0; pos != std::string::npos;) {
+        size_t eq = attrs.find('=', pos);
+        shape += attrs.substr(pos, eq - pos) + ",";
+        pos = attrs.find(", ", eq);
+        if (pos != std::string::npos) pos += 2;
+      }
+    }
+    shapes.push_back(shape + "}");
+  }
+  std::sort(shapes.begin(), shapes.end());
+  return shapes;
+}
+
+TEST(EngineTest, LocalAndDispatchedModesAgree) {
+  // Same job through the plain engine and through the dispatch layer: every
+  // map task fails its attempt 0, reduce partition 1 fails its attempt 0,
+  // and a combiner folds the runs. Both modes run one attempt body and
+  // differ only in who retries, so everything deterministic must match.
+  class FlakyPartitionReduceTask : public SummingReduceTask {
+   public:
+    FlakyPartitionReduceTask(std::mutex* mutex,
+                             std::vector<GroupRecord>* sink, bool fail)
+        : SummingReduceTask(mutex, sink), fail_(fail) {}
+    Status StartGroup(const Row& key) override {
+      if (fail_) return Status::IoError("reduce flake");
+      return SummingReduceTask::StartGroup(key);
+    }
+
+   private:
+    bool fail_;
+  };
+  struct Run {
+    std::map<int64_t, GroupRecord> groups;
+    JobCounters counters;
+    std::vector<std::string> span_shapes;
+  };
+  auto run_job = [](DispatchCoordinator* dispatcher, Run* run) {
+    dfs::FileSystem fs;
+    EngineOptions options{2, 0};
+    options.dispatcher = dispatcher;
+    Engine engine(&fs, options);
+    telemetry::Span root("query");
+    JobConfig job;
+    job.name = "parity";
+    job.parent_span = &root;
+    for (int s = 0; s < 4; ++s) {
+      job.splits.push_back({"/in/part-" + std::to_string(s),
+                            static_cast<uint64_t>(s) * 1000, 1000, -1, 0});
+    }
+    job.num_reducers = 3;
+    job.max_task_attempts = 3;
+    job.map_factory = [] { return std::make_unique<FlakyMapTask>(8, 1); };
+    job.combiner_factory = [](ShuffleEmitter* out) {
+      return std::make_unique<SummingCombiner>(out);
+    };
+    std::mutex mutex;
+    std::vector<GroupRecord> groups;
+    job.reduce_factory = [&](int partition, int attempt) {
+      return std::make_unique<FlakyPartitionReduceTask>(
+          &mutex, &groups, partition == 1 && attempt == 0);
+    };
+    Status status = engine.RunJob(job, &run->counters);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    for (const GroupRecord& g : groups) {
+      ASSERT_EQ(run->groups.count(g.key), 0u) << "key " << g.key;
+      run->groups[g.key] = g;
+    }
+    ASSERT_NE(root.LastChild(), nullptr);
+    run->span_shapes = AttemptSpanShapes(*root.LastChild());
+  };
+
+  Run local;
+  run_job(nullptr, &local);
+  LocalDispatch dispatch;
+  Run dispatched;
+  run_job(&dispatch.coordinator, &dispatched);
+
+  ASSERT_EQ(local.groups.size(), 8u);
+  ASSERT_EQ(dispatched.groups.size(), local.groups.size());
+  for (const auto& [key, g] : local.groups) {
+    EXPECT_EQ(dispatched.groups[key].sum, g.sum) << "key " << key;
+    EXPECT_EQ(dispatched.groups[key].count, g.count) << "key " << key;
+  }
+  const JobCounters& want = local.counters;
+  const JobCounters& got = dispatched.counters;
+  EXPECT_EQ(want.map_task_failures.load(), 4u);
+  EXPECT_EQ(want.reduce_task_failures.load(), 1u);
+  EXPECT_GT(want.combine_input_records.load(),
+            want.combine_output_records.load());
+  for (const char* name :
+       {"map_input_records", "map_output_records", "reduce_input_records",
+        "shuffled_bytes", "combine_input_records", "combine_output_records",
+        "map_task_failures", "reduce_task_failures"}) {
+    for (const auto& f : JobCounters::atomic_u64_fields()) {
+      if (std::string(f.name) != name) continue;
+      EXPECT_EQ((got.*f.member).load(), (want.*f.member).load()) << name;
+    }
+  }
+  EXPECT_EQ(got.map_tasks, want.map_tasks);
+  EXPECT_EQ(got.reduce_tasks, want.reduce_tasks);
+  EXPECT_EQ(want.transport_dispatches.load(), 0u);
+  EXPECT_GT(got.transport_dispatches.load(), 0u)
+      << "tasks did not route through the dispatch layer";
+
+  // 4 maps and 3 reduces succeed; 4 map and 1 reduce attempts fail.
+  ASSERT_EQ(local.span_shapes.size(), 12u);
+  EXPECT_EQ(dispatched.span_shapes, local.span_shapes);
+}
+
+TEST(EngineTest, MissingReduceFactoryFailsBeforeAnyMapTask) {
+  for (bool use_dispatcher : {false, true}) {
+    LocalDispatch dispatch;
+    dfs::FileSystem fs;
+    EngineOptions options{2, 0};
+    if (use_dispatcher) options.dispatcher = &dispatch.coordinator;
+    Engine engine(&fs, options);
+    std::atomic<int> map_tasks_built{0};
+    JobConfig job;
+    for (int s = 0; s < 3; ++s) {
+      job.splits.push_back({"", static_cast<uint64_t>(s) * 10, 10, -1, 0});
+    }
+    job.num_reducers = 2;
+    job.map_factory = [&] {
+      map_tasks_built.fetch_add(1);
+      return std::make_unique<ModuloMapTask>(5);
+    };
+    JobCounters counters;
+    Status status = engine.RunJob(job, &counters);
+    const char* mode = use_dispatcher ? "dispatched" : "local";
+    EXPECT_TRUE(status.IsInvalidArgument()) << mode << ": " << status.ToString();
+    EXPECT_EQ(map_tasks_built.load(), 0) << mode;
+  }
 }
 
 TEST(EstimateRowBytesTest, GrowsWithContent) {

@@ -527,6 +527,21 @@ TEST_F(DispatchQueryTest, RemoteAndLocalTransportsMatchPlainEngine) {
     EXPECT_GT(result->counters.transport_dispatches.load(), 0u)
         << "tasks did not actually route through the dispatch layer";
     EXPECT_EQ(result->counters.transport_fallbacks.load(), 0u);
+    // Both modes run the same attempt body, so the record and byte
+    // counters match the plain engine's exactly.
+    const JobCounters& got = result->counters;
+    const JobCounters& plain_counters = golden->counters;
+    EXPECT_EQ(got.map_input_records.load(),
+              plain_counters.map_input_records.load());
+    EXPECT_EQ(got.map_output_records.load(),
+              plain_counters.map_output_records.load());
+    EXPECT_EQ(got.reduce_input_records.load(),
+              plain_counters.reduce_input_records.load());
+    EXPECT_EQ(got.shuffled_bytes.load(), plain_counters.shuffled_bytes.load());
+    EXPECT_EQ(got.combine_input_records.load(),
+              plain_counters.combine_input_records.load());
+    EXPECT_EQ(got.combine_output_records.load(),
+              plain_counters.combine_output_records.load());
   }
 }
 

@@ -72,7 +72,8 @@ int Main() {
       double cms = cw.ElapsedMillis();
       std::string restored;
       Stopwatch dw;
-      Check(codec->Decompress(compressed, &restored), "decompress");
+      Check(codec->Decompress(compressed, payload.data.size(), &restored),
+            "decompress");
       double dms = dw.ElapsedMillis();
       if (restored != payload.data) {
         std::fprintf(stderr, "round trip mismatch\n");

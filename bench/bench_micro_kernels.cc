@@ -261,7 +261,8 @@ void BM_FastLzDecompress(benchmark::State& state) {
   (void)codec->Compress(data, &compressed);
   for (auto _ : state) {
     std::string out;
-    benchmark::DoNotOptimize(codec->Decompress(compressed, &out).ok());
+    benchmark::DoNotOptimize(
+        codec->Decompress(compressed, data.size(), &out).ok());
   }
   state.SetBytesProcessed(state.iterations() * data.size());
 }

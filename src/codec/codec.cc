@@ -107,32 +107,132 @@ void LzCompress(std::string_view input, int chain_depth, std::string* out) {
   if (pos > literal_start) emit(0, 0);  // Flush trailing literals.
 }
 
-Status LzDecompress(std::string_view input, std::string* out) {
-  minihive::ByteReader reader(input);
-  size_t base = out->size();
-  while (!reader.AtEnd()) {
-    uint64_t literal_len;
-    MINIHIVE_RETURN_IF_ERROR(reader.GetVarint64(&literal_len));
-    std::string_view literals;
-    MINIHIVE_RETURN_IF_ERROR(reader.GetBytes(literal_len, &literals));
-    out->append(literals.data(), literals.size());
-    uint64_t match_len;
-    MINIHIVE_RETURN_IF_ERROR(reader.GetVarint64(&match_len));
-    if (match_len == 0) continue;
-    uint64_t distance;
-    MINIHIVE_RETURN_IF_ERROR(reader.GetVarint64(&distance));
-    size_t produced = out->size() - base;
-    if (distance == 0 || distance > produced) {
-      return Status::Corruption("LZ match distance out of range");
+// Output slack past the unit's decoded size: lets a literal or match of up
+// to 16 bytes be copied with two fixed 8-byte moves even when it ends the
+// unit. The slack is trimmed before returning.
+constexpr size_t kSlack = 16;
+
+// Reads an unsigned LEB128 varint from [*p, end) with the semantics of
+// ByteReader::GetVarint64: at most 10 bytes, bits past 64 dropped.
+inline bool ReadVarint(const uint8_t** p, const uint8_t* end,
+                       uint64_t* value, const char** error) {
+  const uint8_t* q = *p;
+  if (q < end && *q < 0x80) {  // One-byte fast path.
+    *value = *q;
+    *p = q + 1;
+    return true;
+  }
+  uint64_t result = 0;
+  for (int shift = 0; q < end; shift += 7) {
+    uint8_t byte = *q++;
+    if (shift >= 64) {
+      *error = "varint64 too long";
+      return false;
     }
-    // Byte-by-byte copy: overlapping matches (distance < match_len) encode
-    // run-length repetition and must be copied forward.
-    size_t from = out->size() - distance;
-    for (uint64_t i = 0; i < match_len; ++i) {
-      out->push_back((*out)[from + i]);
+    result |= static_cast<uint64_t>(byte & 0x7f) << shift;
+    if ((byte & 0x80) == 0) {
+      *value = result;
+      *p = q;
+      return true;
     }
   }
-  if (!reader.AtEnd()) return Status::Corruption("trailing bytes after LZ stream");
+  *error = "truncated varint64";
+  return false;
+}
+
+// Copies 16 bytes as two 8-byte moves, the second loaded after the first is
+// stored, so a source that starts 8 or more bytes before `dst` is copied
+// forward correctly.
+inline void Copy16(char* dst, const char* src) {
+  uint64_t word;
+  std::memcpy(&word, src, 8);
+  std::memcpy(dst, &word, 8);
+  std::memcpy(&word, src + 8, 8);
+  std::memcpy(dst + 8, &word, 8);
+}
+
+// Copies an overlapping match (distance < len) forward by pattern doubling:
+// the bytes from `dst - distance` repeat with period `distance`, so each
+// step copies everything between the source and the write position, which
+// never overlaps and doubles the copied span.
+inline void CopyOverlapping(char* dst, size_t distance, size_t len) {
+  const char* src = dst - distance;
+  char* const stop = dst + len;
+  while (static_cast<size_t>(stop - dst) > static_cast<size_t>(dst - src)) {
+    size_t span = static_cast<size_t>(dst - src);
+    std::memcpy(dst, src, span);
+    dst += span;
+  }
+  std::memcpy(dst, src, static_cast<size_t>(stop - dst));
+}
+
+// Appends exactly `original_len` decoded bytes to *out, or leaves *out as
+// it was and returns Corruption. Every literal and match is checked against
+// the input and the remaining output space before anything is copied.
+Status LzDecompress(std::string_view input, uint64_t original_len,
+                    std::string* out) {
+  const size_t base = out->size();
+  if (original_len > out->max_size() - base - kSlack) {
+    return Status::Corruption("LZ unit too large");
+  }
+  out->resize(base + original_len + kSlack);
+  char* const begin = out->data() + base;
+  char* const limit = begin + original_len;
+  char* op = begin;
+  const auto* ip = reinterpret_cast<const uint8_t*>(input.data());
+  const uint8_t* const in_end = ip + input.size();
+  const char* error = nullptr;
+  while (ip < in_end) {
+    uint64_t literal_len;
+    if (!ReadVarint(&ip, in_end, &literal_len, &error)) break;
+    if (literal_len > static_cast<uint64_t>(in_end - ip)) {
+      error = "LZ literal past end of input";
+      break;
+    }
+    if (literal_len > static_cast<uint64_t>(limit - op)) {
+      error = "LZ output exceeds unit length";
+      break;
+    }
+    const char* literals = reinterpret_cast<const char*>(ip);
+    if (literal_len <= 16 && in_end - ip >= 16) {
+      Copy16(op, literals);
+    } else {
+      std::memcpy(op, literals, literal_len);
+    }
+    op += literal_len;
+    ip += literal_len;
+    uint64_t match_len;
+    if (!ReadVarint(&ip, in_end, &match_len, &error)) break;
+    if (match_len == 0) continue;
+    uint64_t distance;
+    if (!ReadVarint(&ip, in_end, &distance, &error)) break;
+    if (distance == 0 || distance > static_cast<uint64_t>(op - begin)) {
+      error = "LZ match distance out of range";
+      break;
+    }
+    if (match_len > static_cast<uint64_t>(limit - op)) {
+      error = "LZ output exceeds unit length";
+      break;
+    }
+    if (distance >= match_len) {
+      if (match_len <= 16) {
+        Copy16(op, op - distance);
+      } else {
+        std::memcpy(op, op - distance, match_len);
+      }
+    } else {
+      CopyOverlapping(op, distance, match_len);
+    }
+    op += match_len;
+  }
+  if (error == nullptr && op != limit) {
+    error = "unit decompressed to unexpected size";
+  }
+  if (error != nullptr) {
+    out->resize(base);
+    return Status::Corruption(error);
+  }
+  out->resize(base + original_len);
   return Status::OK();
 }
 
@@ -148,8 +248,9 @@ class LzCodec : public Codec {
     return Status::OK();
   }
 
-  Status Decompress(std::string_view input, std::string* out) const override {
-    return LzDecompress(input, out);
+  Status Decompress(std::string_view input, uint64_t original_len,
+                    std::string* out) const override {
+    return LzDecompress(input, original_len, out);
   }
 
  private:
@@ -204,11 +305,14 @@ Status CompressToUnits(const Codec* codec, std::string_view data,
 }
 
 Status DecompressUnits(const Codec* codec, std::string_view data,
-                       std::string* out) {
+                       std::string* out, uint64_t max_unit_len) {
   minihive::ByteReader reader(data);
   while (!reader.AtEnd()) {
     uint64_t original_len;
     MINIHIVE_RETURN_IF_ERROR(reader.GetVarint64(&original_len));
+    if (original_len > max_unit_len) {
+      return Status::Corruption("compression unit larger than its bound");
+    }
     uint8_t flag;
     MINIHIVE_RETURN_IF_ERROR(reader.GetByte(&flag));
     uint64_t stored_len;
@@ -216,16 +320,15 @@ Status DecompressUnits(const Codec* codec, std::string_view data,
     std::string_view stored;
     MINIHIVE_RETURN_IF_ERROR(reader.GetBytes(stored_len, &stored));
     if (flag == 0) {
+      if (stored_len != original_len) {
+        return Status::Corruption("stored unit length mismatch");
+      }
       out->append(stored.data(), stored.size());
     } else {
       if (codec == nullptr) {
         return Status::Corruption("compressed unit but no codec configured");
       }
-      size_t before = out->size();
-      MINIHIVE_RETURN_IF_ERROR(codec->Decompress(stored, out));
-      if (out->size() - before != original_len) {
-        return Status::Corruption("unit decompressed to unexpected size");
-      }
+      MINIHIVE_RETURN_IF_ERROR(codec->Decompress(stored, original_len, out));
     }
   }
   return Status::OK();

@@ -304,7 +304,8 @@ class RcFileReader : public RowReader {
           if (codec_ == nullptr) {
             return Status::Corruption("compressed RCFile column, no codec");
           }
-          MINIHIVE_RETURN_IF_ERROR(codec_->Decompress(stored, &raw));
+          MINIHIVE_RETURN_IF_ERROR(
+              codec_->Decompress(stored, raw_len[i], &raw));
         }
         MINIHIVE_RETURN_IF_ERROR(SliceColumn(std::move(raw), rows, i));
       }

@@ -1,6 +1,8 @@
 #include "orc/reader.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <map>
 
 #include "common/cache.h"
@@ -167,11 +169,13 @@ Status VerifyCrc(std::string_view stored, uint32_t expected,
 class StreamReader {
  public:
   Status InitFull(dfs::ReadableFile* file, uint64_t file_start,
-                  uint64_t length, const codec::Codec* codec, int host,
-                  uint32_t expected_crc, bool verify) {
+                  uint64_t length, const codec::Codec* codec,
+                  uint64_t unit_size, int host, uint32_t expected_crc,
+                  bool verify) {
     full_mode_ = true;
     file_start_ = file_start;
     codec_ = codec;
+    unit_size_ = unit_size;
     std::string stored;
     if (length > 0) {
       MINIHIVE_RETURN_IF_ERROR(file->ReadAt(file_start, length, &stored, host));
@@ -181,7 +185,8 @@ class StreamReader {
       MINIHIVE_RETURN_IF_ERROR(VerifyCrc(stored, expected_crc, "stream"));
     }
     raw_.clear();
-    MINIHIVE_RETURN_IF_ERROR(codec::DecompressUnits(codec, stored, &raw_));
+    MINIHIVE_RETURN_IF_ERROR(
+        codec::DecompressUnits(codec, stored, &raw_, unit_size_));
     ResetDecoders();
     return Status::OK();
   }
@@ -190,7 +195,7 @@ class StreamReader {
                const std::vector<uint64_t>* segment_ends,
                const std::vector<uint32_t>* segment_crcs,
                const std::vector<GroupRun>* runs, const codec::Codec* codec,
-               int host, bool verify) {
+               uint64_t unit_size, int host, bool verify) {
     full_mode_ = false;
     file_ = file;
     file_start_ = file_start;
@@ -198,6 +203,7 @@ class StreamReader {
     seg_crcs_ = segment_crcs;
     runs_ = runs;
     codec_ = codec;
+    unit_size_ = unit_size;
     host_ = host;
     verify_ = verify;
     run_valid_ = false;
@@ -223,7 +229,8 @@ class StreamReader {
           VerifyCrc(slice, (*seg_crcs_)[g], "stream segment"));
     }
     raw_.clear();
-    MINIHIVE_RETURN_IF_ERROR(codec::DecompressUnits(codec_, slice, &raw_));
+    MINIHIVE_RETURN_IF_ERROR(
+        codec::DecompressUnits(codec_, slice, &raw_, unit_size_));
     ResetDecoders();
     return Status::OK();
   }
@@ -262,10 +269,21 @@ class StreamReader {
 
   /// Appends the next n raw bytes to *out.
   Status ReadRaw(uint64_t n, std::string* out) {
-    if (raw_cursor_ + n > raw_.size()) {
+    if (n > raw_.size() - raw_cursor_) {
       return Status::Corruption("raw stream exhausted");
     }
     out->append(raw_, raw_cursor_, n);
+    raw_cursor_ += n;
+    return Status::OK();
+  }
+
+  /// Copies the next n raw bytes to `out`, which must hold n bytes (and
+  /// may be null when n is 0).
+  Status ReadRaw(uint64_t n, void* out) {
+    if (n > raw_.size() - raw_cursor_) {
+      return Status::Corruption("raw stream exhausted");
+    }
+    if (n > 0) std::memcpy(out, raw_.data() + raw_cursor_, n);
     raw_cursor_ += n;
     return Status::OK();
   }
@@ -309,6 +327,7 @@ class StreamReader {
   dfs::ReadableFile* file_ = nullptr;
   uint64_t file_start_ = 0;
   const codec::Codec* codec_ = nullptr;
+  uint64_t unit_size_ = 0;
   int host_ = -1;
   const std::vector<uint64_t>* seg_ends_ = nullptr;
   const std::vector<uint32_t>* seg_crcs_ = nullptr;
@@ -645,7 +664,8 @@ class OrcReader::Impl {
     }
     std::string footer_raw;
     MINIHIVE_RETURN_IF_ERROR(
-        codec::DecompressUnits(codec_, footer_stored, &footer_raw));
+        codec::DecompressUnits(codec_, footer_stored, &footer_raw,
+                               tail->compression_unit));
     MINIHIVE_RETURN_IF_ERROR(DeserializeFileFooter(footer_raw, tail.get()));
 
     uint64_t metadata_off = footer_off - metadata_len;
@@ -660,7 +680,8 @@ class OrcReader::Impl {
     }
     std::string metadata_raw;
     MINIHIVE_RETURN_IF_ERROR(
-        codec::DecompressUnits(codec_, metadata_stored, &metadata_raw));
+        codec::DecompressUnits(codec_, metadata_stored, &metadata_raw,
+                               tail->compression_unit));
     MINIHIVE_RETURN_IF_ERROR(DeserializeFileMetadata(metadata_raw, tail.get()));
     tail_ = std::move(tail);
 
@@ -746,7 +767,8 @@ class OrcReader::Impl {
       }
       std::string footer_raw;
       MINIHIVE_RETURN_IF_ERROR(
-          codec::DecompressUnits(codec_, footer_stored, &footer_raw));
+          codec::DecompressUnits(codec_, footer_stored, &footer_raw,
+                                 tail_->compression_unit));
       auto footer = std::make_shared<StripeFooter>();
       MINIHIVE_RETURN_IF_ERROR(
           StripeFooter::Deserialize(footer_raw, footer.get()));
@@ -801,7 +823,8 @@ class OrcReader::Impl {
         }
         std::string index_raw;
         MINIHIVE_RETURN_IF_ERROR(
-            codec::DecompressUnits(codec_, index_stored, &index_raw));
+            codec::DecompressUnits(codec_, index_stored, &index_raw,
+                                   tail_->compression_unit));
         auto index = std::make_shared<StripeIndex>();
         MINIHIVE_RETURN_IF_ERROR(
             StripeIndex::Deserialize(index_raw, index.get()));
@@ -874,20 +897,21 @@ class OrcReader::Impl {
       if (IsStripeScoped(s.kind)) {
         // Dictionary streams are always read whole.
         MINIHIVE_RETURN_IF_ERROR(stream->InitFull(
-            file_.get(), start, s.length, codec_, options_.reader_host, s.crc,
-            options_.verify_checksums));
+            file_.get(), start, s.length, codec_, tail_->compression_unit,
+            options_.reader_host, s.crc, options_.verify_checksums));
       } else if (ppd_mode_) {
         const std::vector<uint32_t>* crcs =
             si < stripe_index_->segment_crcs.size()
                 ? &stripe_index_->segment_crcs[si]
                 : nullptr;
         stream->InitPpd(file_.get(), start, &stripe_index_->segment_ends[si],
-                        crcs, &group_runs_, codec_, options_.reader_host,
+                        crcs, &group_runs_, codec_, tail_->compression_unit,
+                        options_.reader_host,
                         options_.verify_checksums);
       } else {
         MINIHIVE_RETURN_IF_ERROR(stream->InitFull(
-            file_.get(), start, s.length, codec_, options_.reader_host, s.crc,
-            options_.verify_checksums));
+            file_.get(), start, s.length, codec_, tail_->compression_unit,
+            options_.reader_host, s.crc, options_.verify_checksums));
       }
       switch (s.kind) {
         case StreamKind::kPresent:
@@ -1123,13 +1147,11 @@ class OrcReader::Impl {
       case TypeKind::kFloat:
       case TypeKind::kDouble: {
         MINIHIVE_RETURN_IF_ERROR(node->data_stream->StartGroup(g));
-        std::string raw;
-        MINIHIVE_RETURN_IF_ERROR(node->data_stream->ReadRaw(nonnull * 8, &raw));
+        // Doubles are stored as little-endian bits, the host's layout.
+        static_assert(std::endian::native == std::endian::little);
         node->doubles.resize(nonnull);
-        ByteReader reader(raw);
-        for (uint64_t i = 0; i < nonnull; ++i) {
-          MINIHIVE_RETURN_IF_ERROR(reader.GetDoubleBits(&node->doubles[i]));
-        }
+        MINIHIVE_RETURN_IF_ERROR(node->data_stream->ReadRaw(
+            nonnull * sizeof(double), node->doubles.data()));
         break;
       }
       case TypeKind::kString: {

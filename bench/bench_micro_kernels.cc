@@ -144,7 +144,7 @@ void BM_SimdCompareMaskI64(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kSimdBenchRows);
   simd::SetEnabled(true);
 }
-BENCHMARK(BM_SimdCompareMaskI64)->ArgName("simd")->Arg(0)->Arg(1);
+BENCHMARK(BM_SimdCompareMaskI64)->ArgName("simd")->Arg(0);
 
 void BM_SimdBetweenMaskF64(benchmark::State& state) {
   simd::SetEnabled(state.range(0) != 0);

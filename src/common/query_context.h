@@ -1,6 +1,7 @@
 #ifndef MINIHIVE_COMMON_QUERY_CONTEXT_H_
 #define MINIHIVE_COMMON_QUERY_CONTEXT_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -27,11 +28,52 @@ class CancellationToken {
   std::atomic<bool> cancelled_{false};
 };
 
+/// One statement's own I/O, cache and late-materialization counts, charged
+/// directly by the sites that count them (DFS file handles, the ORC reader)
+/// so EXPLAIN PROFILE stays correct beside concurrent queries. Process-wide
+/// totals (FileSystem::stats(), cache stats(), the registry) are separate.
+/// Like JobCounters, fields() lists every field once; the profile iterates
+/// it and the static_assert below catches a field missing from it.
+struct QueryMetrics {
+  std::atomic<uint64_t> block_cache_hits{0};  // One lookup per DFS block.
+  std::atomic<uint64_t> block_cache_misses{0};
+  std::atomic<uint64_t> metadata_cache_hits{0};  // ORC tails, footers, indexes.
+  std::atomic<uint64_t> metadata_cache_misses{0};
+  std::atomic<uint64_t> rows_late_skipped{0};
+  std::atomic<uint64_t> lazy_decodes_avoided{0};
+  std::atomic<uint64_t> physical_bytes_read{0};
+  std::atomic<uint64_t> cached_bytes_read{0};
+
+  /// The session cache a field describes; reported only while installed.
+  enum class CacheLevel { kNone, kBlock, kMetadata };
+  struct NamedField {
+    const char* name;
+    std::atomic<uint64_t> QueryMetrics::*member;
+    CacheLevel cache;
+  };
+  static constexpr std::array<NamedField, 8> fields() {
+    using M = QueryMetrics;
+    using C = CacheLevel;
+    return {{{"block_cache_hits", &M::block_cache_hits, C::kBlock},
+             {"block_cache_misses", &M::block_cache_misses, C::kBlock},
+             {"metadata_cache_hits", &M::metadata_cache_hits, C::kMetadata},
+             {"metadata_cache_misses", &M::metadata_cache_misses, C::kMetadata},
+             {"rows_late_skipped", &M::rows_late_skipped, C::kNone},
+             {"lazy_decodes_avoided", &M::lazy_decodes_avoided, C::kNone},
+             {"physical_bytes_read", &M::physical_bytes_read, C::kNone},
+             {"cached_bytes_read", &M::cached_bytes_read, C::kNone}}};
+  }
+};
+static_assert(sizeof(QueryMetrics) ==
+                  QueryMetrics::fields().size() * sizeof(std::atomic<uint64_t>),
+              "QueryMetrics changed: update QueryMetrics::fields()");
+
 /// Query-wide governance state threaded from the ql::Driver through the
 /// engine, operator pipelines, shuffle loops and readers: a cancellation
-/// token, a wall-clock deadline, and a per-query map-join memory budget.
-/// The context is owned by the driver and outlives every task of the query;
-/// execution code holds const pointers and only ever polls it.
+/// token, a wall-clock deadline, the query's memory budget node, and its
+/// metrics scope. The context is owned by the driver and outlives every task
+/// of the query; execution code holds const pointers and only polls it (or
+/// charges its metrics).
 class QueryContext {
  public:
   using Clock = std::chrono::steady_clock;
@@ -51,20 +93,16 @@ class QueryContext {
   bool has_deadline() const { return has_deadline_; }
   Clock::time_point deadline() const { return deadline_; }
 
-  void set_mapjoin_memory_budget_bytes(uint64_t bytes) {
-    mapjoin_memory_budget_bytes_ = bytes;
-  }
-  /// 0 = unlimited.
-  uint64_t mapjoin_memory_budget_bytes() const {
-    return mapjoin_memory_budget_bytes_;
-  }
-
   /// The query's node in the unified memory accounting tree (see
   /// common/budget.h), or nullptr when the query runs outside a session.
   /// Consumers (map-join builds, ORC writers) charge reservations against
   /// it; the node is owned by the admission handle and outlives the query.
   void set_memory_budget(MemoryBudget* budget) { memory_budget_ = budget; }
   MemoryBudget* memory_budget() const { return memory_budget_; }
+
+  /// The statement's metrics scope, charged through const contexts by
+  /// every task attempt and shared with a map-join fallback re-run.
+  QueryMetrics* metrics() const { return &metrics_; }
 
   /// OK while the query may keep running; kCancelled once the token fires,
   /// kDeadlineExceeded once the deadline passes. This is THE cancellation
@@ -85,8 +123,8 @@ class QueryContext {
   std::shared_ptr<CancellationToken> token_;
   bool has_deadline_ = false;
   Clock::time_point deadline_{};
-  uint64_t mapjoin_memory_budget_bytes_ = 0;
   MemoryBudget* memory_budget_ = nullptr;
+  mutable QueryMetrics metrics_;
 };
 
 /// Per-task-attempt view of the governance state: the query context plus an
@@ -100,6 +138,10 @@ class TaskGovernor {
   explicit TaskGovernor(const QueryContext* query) : query_(query) {}
 
   const QueryContext* query() const { return query_; }
+  /// The query's metrics scope, or null for an ungoverned reader.
+  QueryMetrics* metrics() const {
+    return query_ != nullptr ? query_->metrics() : nullptr;
+  }
 
   /// Arms the attempt deadline `timeout_millis` from now (<=0 disarms).
   void set_attempt_timeout_millis(int64_t timeout_millis) {

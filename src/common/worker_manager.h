@@ -61,7 +61,7 @@ struct WorkerPoolOptions {
   uint64_t seed = 0;
 };
 
-/// Snapshot of the pool's health, for tests and EXPLAIN PROFILE.
+/// Snapshot of the pool's health, for tests and benches.
 struct WorkerPoolStats {
   int alive = 0;
   int blacklisted = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/cache.h"
+#include "common/query_context.h"
 
 namespace minihive::dfs {
 
@@ -67,12 +68,14 @@ class ReadableFileImpl : public ReadableFile {
  public:
   ReadableFileImpl(FileSystem* fs, std::string path,
                    std::shared_ptr<const FileSystem::FileData> data,
-                   uint64_t block_size, uint64_t generation)
+                   uint64_t block_size, uint64_t generation,
+                   QueryMetrics* metrics)
       : fs_(fs),
         path_(std::move(path)),
         data_(std::move(data)),
         block_size_(block_size),
-        generation_(generation) {}
+        generation_(generation),
+        metrics_(metrics) {}
 
   uint64_t Size() const override { return data_->contents.size(); }
   uint64_t Generation() const override { return generation_; }
@@ -105,6 +108,7 @@ class ReadableFileImpl : public ReadableFile {
     // backing storage; candidates for (whole-block) population below.
     std::vector<uint64_t> fill_blocks;
     uint64_t cached_bytes = 0;
+    uint64_t cache_hits = 0;
     if (bcache == nullptr || length == 0) {
       out->assign(data_->contents, offset, length);
     } else {
@@ -124,6 +128,7 @@ class ReadableFileImpl : public ReadableFile {
           out->append(*block, rstart - bstart, rend - rstart);
           bcache->Release(handle);
           cached_bytes += rend - rstart;
+          ++cache_hits;
         } else {
           out->append(data_->contents, rstart, rend - rstart);
           fill_blocks.push_back(b);
@@ -160,6 +165,12 @@ class ReadableFileImpl : public ReadableFile {
     stats.bytes_read_cached += cached_bytes;
     stats.bytes_read_physical += length - cached_bytes;
     stats.read_ops += 1;
+    if (metrics_ != nullptr) {
+      metrics_->physical_bytes_read += length - cached_bytes;
+      metrics_->cached_bytes_read += cached_bytes;
+      metrics_->block_cache_hits += cache_hits;
+      metrics_->block_cache_misses += fill_blocks.size();
+    }
     if (length > 0) {
       uint64_t first_block = offset / block_size_;
       uint64_t last_block = (offset + length - 1) / block_size_;
@@ -204,6 +215,7 @@ class ReadableFileImpl : public ReadableFile {
   std::shared_ptr<const FileSystem::FileData> data_;
   uint64_t block_size_;
   uint64_t generation_;
+  QueryMetrics* metrics_;  // The opening query's scope; may be null.
 };
 
 }  // namespace
@@ -237,7 +249,8 @@ Result<std::unique_ptr<WritableFile>> FileSystem::Create(
       new WritableFileImpl(this, path, data, options_.block_size));
 }
 
-Result<std::shared_ptr<ReadableFile>> FileSystem::Open(const std::string& path) {
+Result<std::shared_ptr<ReadableFile>> FileSystem::Open(
+    const std::string& path, const TaskGovernor* governor) {
   if (FaultInjector* faults = fault_injector()) {
     MINIHIVE_RETURN_IF_ERROR(faults->MaybeError(FaultSite::kOpen, path));
   }
@@ -261,7 +274,8 @@ Result<std::shared_ptr<ReadableFile>> FileSystem::Open(const std::string& path) 
     if (gen_it != generations_.end()) generation = gen_it->second;
   }
   return std::shared_ptr<ReadableFile>(new ReadableFileImpl(
-      this, path, data, options_.block_size, generation));
+      this, path, data, options_.block_size, generation,
+      governor != nullptr ? governor->metrics() : nullptr));
 }
 
 Status FileSystem::Delete(const std::string& path) {

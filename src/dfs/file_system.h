@@ -14,6 +14,10 @@
 #include "common/result.h"
 #include "common/status.h"
 
+namespace minihive {
+class TaskGovernor;  // Defined in common/query_context.h.
+}  // namespace minihive
+
 namespace minihive::cache {
 class CacheManager;
 }  // namespace minihive::cache
@@ -28,6 +32,7 @@ namespace minihive::dfs {
 /// pre-cache meaning), and splits into `bytes_read_physical` (served from
 /// backing storage) + `bytes_read_cached` (served from the session block
 /// cache): physical + cached == bytes_read always holds.
+/// Process-wide totals; a query's own bytes go to its QueryMetrics.
 struct IoStats {
   std::atomic<uint64_t> bytes_read{0};
   std::atomic<uint64_t> bytes_read_physical{0};
@@ -115,8 +120,11 @@ class FileSystem {
   /// Creates a file for writing; fails with AlreadyExists if present.
   Result<std::unique_ptr<WritableFile>> Create(const std::string& path);
 
-  /// Opens a closed file for reading.
-  Result<std::shared_ptr<ReadableFile>> Open(const std::string& path);
+  /// Opens a closed file for reading. ReadAt charges stats() and, when
+  /// `governor` has a query, that query's metrics (bytes and block-cache
+  /// lookups); the query context must outlive the handle.
+  Result<std::shared_ptr<ReadableFile>> Open(
+      const std::string& path, const TaskGovernor* governor = nullptr);
 
   Status Delete(const std::string& path);
   /// Atomically renames a closed file (task output promotion). Fails with

@@ -796,6 +796,8 @@ Result<std::shared_ptr<MapJoinTables>> BuildMapJoinTables(
   auto tables = std::make_shared<MapJoinTables>();
   uint64_t total_bytes = 0;
   uint64_t rows_scanned = 0;
+  // Charges the build's reads to the query's metrics scope.
+  TaskGovernor governor(query);
   for (const auto& side : desc.mapjoin_small_sides) {
     MINIHIVE_ASSIGN_OR_RETURN(SmallTableSource source,
                               resolve(side.table_name));
@@ -805,6 +807,7 @@ Result<std::shared_ptr<MapJoinTables>> BuildMapJoinTables(
       formats::ReadOptions options;
       options.projected_columns = side.projection;
       options.delete_bitmap = FindDeleteBitmap(&source.delete_bitmaps, path);
+      options.governor = &governor;
       MINIHIVE_ASSIGN_OR_RETURN(
           std::unique_ptr<formats::RowReader> reader,
           format->OpenReader(fs, path, source.schema, options));

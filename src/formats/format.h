@@ -48,7 +48,8 @@ struct ReadOptions {
   const orc::SearchArgument* sarg = nullptr;
   /// Task lifecycle governor; a reader that honours it (ORC, per index
   /// group) stops a long scan when the query is cancelled or a deadline
-  /// passes. Null = ungoverned.
+  /// passes. Every reader charges its reads to the governor's query
+  /// metrics scope. Null = ungoverned and uncharged.
   const TaskGovernor* governor = nullptr;
   /// Serve/populate the session ORC metadata cache (no-op for formats
   /// without cached metadata, and when the filesystem has no cache).

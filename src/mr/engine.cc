@@ -444,8 +444,10 @@ class JobExecution {
         job_.max_task_attempts, job_.query_ctx);
     counters_->transport_dispatches += outcome.dispatches;
     counters_->transport_retries += outcome.retries;
+    counters_->transport_rpc_timeouts += outcome.timeouts;
     counters_->speculative_launches += outcome.speculative_launches;
     if (outcome.speculative_won) counters_->speculative_wins += 1;
+    counters_->speculative_losses += outcome.speculative_losses;
     if (outcome.ran_local_fallback) counters_->transport_fallbacks += 1;
     (kind == TaskKind::kMap ? counters_->map_task_failures
                             : counters_->reduce_task_failures) +=

@@ -78,14 +78,16 @@ struct JobCounters {
   std::atomic<uint64_t> mapjoin_fallbacks{0};
   /// Distributed dispatch (zero when no transport is configured): physical
   /// task launches shipped through the WorkerTransport, launches after a
-  /// task's first (retries), speculative straggler duplicates, logical
-  /// tasks whose speculative duplicate beat the original, and logical
-  /// tasks that degraded to the local pool because every worker was dead
-  /// or blacklisted.
+  /// task's first (retries), launches lost to deadlines, speculative
+  /// straggler duplicates that were launched / beat the original / lost,
+  /// and logical tasks that degraded to the local pool because every worker
+  /// was dead or blacklisted.
   std::atomic<uint64_t> transport_dispatches{0};
   std::atomic<uint64_t> transport_retries{0};
+  std::atomic<uint64_t> transport_rpc_timeouts{0};
   std::atomic<uint64_t> speculative_launches{0};
   std::atomic<uint64_t> speculative_wins{0};
+  std::atomic<uint64_t> speculative_losses{0};
   std::atomic<uint64_t> transport_fallbacks{0};
   /// Wall time burnt in failed attempts (the retry tax), summed over tasks.
   std::atomic<int64_t> retried_task_nanos{0};
@@ -103,7 +105,7 @@ struct JobCounters {
     T JobCounters::*member;
   };
 
-  static constexpr std::array<NamedField<std::atomic<uint64_t>>, 17>
+  static constexpr std::array<NamedField<std::atomic<uint64_t>>, 19>
   atomic_u64_fields() {
     return {{{"map_input_records", &JobCounters::map_input_records},
              {"map_output_records", &JobCounters::map_output_records},
@@ -119,8 +121,10 @@ struct JobCounters {
              {"mapjoin_fallbacks", &JobCounters::mapjoin_fallbacks},
              {"transport_dispatches", &JobCounters::transport_dispatches},
              {"transport_retries", &JobCounters::transport_retries},
+             {"transport_rpc_timeouts", &JobCounters::transport_rpc_timeouts},
              {"speculative_launches", &JobCounters::speculative_launches},
              {"speculative_wins", &JobCounters::speculative_wins},
+             {"speculative_losses", &JobCounters::speculative_losses},
              {"transport_fallbacks", &JobCounters::transport_fallbacks}}};
   }
 
@@ -209,7 +213,7 @@ struct JobCounters {
 // the matching *_fields() table above, then adjust the expected size.
 static_assert(sizeof(void*) != 8 ||
                   sizeof(JobCounters) ==
-                      8 * (17 + 4) +  // atomic u64/i64 fields
+                      8 * (19 + 4) +  // atomic u64/i64 fields
                           2 * sizeof(int) + 2 * sizeof(double),
               "JobCounters changed: update the field tables in engine.h");
 

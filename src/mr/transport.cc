@@ -661,6 +661,7 @@ DispatchOutcome DispatchCoordinator::RunTask(
     }
     for (auto& launch : launches) {
       if (launch->speculative && launch->attempt != winning_attempt) {
+        out.speculative_losses += 1;
         speculative_losses_counter_->Increment();
       }
     }

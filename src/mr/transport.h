@@ -258,6 +258,7 @@ struct DispatchOutcome {
   int retries = 0;            // Launches after the first.
   int speculative_launches = 0;
   bool speculative_won = false;  // A speculative duplicate beat the original.
+  int speculative_losses = 0;    // Speculative duplicates that did not win.
   bool ran_local_fallback = false;
   int64_t retried_nanos = 0;  // Wall time burnt by failed launches.
 };
@@ -308,8 +309,8 @@ class DispatchCoordinator {
   std::mutex jobs_mu_;
   std::map<uint64_t, TaskExecutor> jobs_;
 
-  // Registry metrics (process-wide; per-query deltas come from snapshots
-  // in the driver's EXPLAIN PROFILE path).
+  // Registry metrics: process-wide totals. A query's own dispatch counts
+  // travel in DispatchOutcome into its JobCounters.
   telemetry::Counter* dispatches_counter_;
   telemetry::Counter* retries_counter_;
   telemetry::Counter* timeouts_counter_;

@@ -405,7 +405,9 @@ class OrcReader::Impl {
         path_(std::move(path)),
         file_(std::move(file)),
         options_(std::move(options)),
-        generation_(file_->Generation()) {
+        generation_(file_->Generation()),
+        metrics_(options_.governor != nullptr ? options_.governor->metrics()
+                                              : nullptr) {
     if (options_.use_metadata_cache) {
       // Pin the manager for the reader's lifetime: the installing session
       // can be destroyed while this reader still inserts/looks up.
@@ -590,13 +592,23 @@ class OrcReader::Impl {
         .Take();
   }
 
+  /// Metadata-cache lookup, charged to the query's scope.
+  cache::Cache::Handle* LookupMetadata(std::string_view key) {
+    cache::Cache::Handle* handle = mcache_->Lookup(key);
+    if (metrics_ != nullptr) {
+      (handle != nullptr ? metrics_->metadata_cache_hits
+                         : metrics_->metadata_cache_misses) += 1;
+    }
+    return handle;
+  }
+
   /// Reads postscript, footer and metadata from the file tail — or serves
   /// the whole parsed tail from the metadata cache, skipping every tail
   /// read, CRC check, decompression, and deserialization.
   Status ReadTail() {
     if (mcache_ != nullptr) {
       std::string key = MetaKey("orc.tail", 0);
-      if (cache::Cache::Handle* handle = mcache_->Lookup(key)) {
+      if (cache::Cache::Handle* handle = LookupMetadata(key)) {
         // Pin for the reader's lifetime: the open file's metadata can't be
         // evicted out from under a long scan (and the pin exercises the
         // cache's pinned-entry protection under pressure).
@@ -633,6 +645,11 @@ class OrcReader::Impl {
     MINIHIVE_RETURN_IF_ERROR(ps.GetByte(&codec_byte));
     tail->compression = static_cast<codec::CompressionKind>(codec_byte);
     MINIHIVE_RETURN_IF_ERROR(ps.GetVarint64(&tail->compression_unit));
+    // Unit buffers are sized from this bound: check it before any decode.
+    if (tail->compression_unit == 0 ||
+        tail->compression_unit > codec::kDefaultCompressionUnitSize) {
+      return Status::Corruption("ORC postscript compression unit out of range");
+    }
     MINIHIVE_RETURN_IF_ERROR(ps.GetVarint64(&tail->row_index_stride));
     MINIHIVE_RETURN_IF_ERROR(ps.GetFixed32(&tail->footer_crc));
     MINIHIVE_RETURN_IF_ERROR(ps.GetFixed32(&tail->metadata_crc));
@@ -747,7 +764,7 @@ class OrcReader::Impl {
     stripe_footer_ = nullptr;
     if (mcache_ != nullptr) {
       std::string key = MetaKey("orc.sf", info.offset);
-      if (cache::Cache::Handle* handle = mcache_->Lookup(key)) {
+      if (cache::Cache::Handle* handle = LookupMetadata(key)) {
         sf_handle_.reset(mcache_, handle);
         stripe_footer_ = cache::Cache::value<StripeFooter>(handle);
         FooterParsesAvoided()->Increment();
@@ -804,7 +821,7 @@ class OrcReader::Impl {
       // pass, and the whole position-pointer/statistics decode.
       if (mcache_ != nullptr) {
         std::string key = MetaKey("orc.si", info.offset);
-        if (cache::Cache::Handle* handle = mcache_->Lookup(key)) {
+        if (cache::Cache::Handle* handle = LookupMetadata(key)) {
           si_handle_.reset(mcache_, handle);
           stripe_index_ = cache::Cache::value<StripeIndex>(handle);
           IndexDecodesAvoided()->Increment();
@@ -1043,12 +1060,16 @@ class OrcReader::Impl {
     if (dead > 0) {
       rows_late_skipped_ += dead;
       RowsLateSkippedCounter()->Add(dead);
+      if (metrics_ != nullptr) metrics_->rows_late_skipped += dead;
     }
     if (survivors == 0) {
       // The group is fully dead: skip every lazy decode and hand control
       // back to EnsureGroup (zero rows => it advances to the next group).
       lazy_decodes_avoided_ += lazy_nodes_.size();
       LazyDecodesAvoidedCounter()->Add(lazy_nodes_.size());
+      if (metrics_ != nullptr) {
+        metrics_->lazy_decodes_avoided += lazy_nodes_.size();
+      }
       group_sel_active_ = false;
       current_group_rows_ = 0;
       rows_in_group_cursor_ = 0;
@@ -1366,6 +1387,7 @@ class OrcReader::Impl {
   // cache key. The cache pointer is null when the session has none or the
   // options turned it off; all cache logic hides behind that test.
   uint64_t generation_ = 0;
+  QueryMetrics* metrics_ = nullptr;  // The governor's query scope, if any.
   std::shared_ptr<cache::CacheManager> cache_manager_;  // Keeps mcache_ alive.
   cache::Cache* mcache_ = nullptr;
   bool tail_cache_hit_ = false;
@@ -1433,7 +1455,7 @@ Result<std::unique_ptr<OrcReader>> OrcReader::Open(dfs::FileSystem* fs,
                                                    const std::string& path,
                                                    OrcReadOptions options) {
   MINIHIVE_ASSIGN_OR_RETURN(std::shared_ptr<dfs::ReadableFile> file,
-                            fs->Open(path));
+                            fs->Open(path, options.governor));
   auto impl =
       std::make_unique<Impl>(fs, path, std::move(file), std::move(options));
   MINIHIVE_RETURN_IF_ERROR(impl->Open());

@@ -46,8 +46,9 @@ struct OrcReadOptions {
   /// parses populate the cache.
   bool use_metadata_cache = true;
   /// Task lifecycle governor, checked before decoding each index group so a
-  /// cancelled or out-of-time query stops a scan mid-stripe. Null =
-  /// ungoverned.
+  /// cancelled or out-of-time query stops a scan mid-stripe. The reader
+  /// charges its reads, metadata-cache lookups and late-materialization
+  /// skips to the governor's query metrics scope. Null = ungoverned.
   const TaskGovernor* governor = nullptr;
   /// Two-phase (PREWHERE-style) vectorized reads: row-evaluable pushed-down
   /// leaves are first evaluated on just the columns they reference, then the

@@ -14,9 +14,9 @@ namespace minihive::orc {
 namespace {
 
 /// Counts every compression pass through the writer (raw bytes in, stored
-/// bytes out). Same signature as codec::CompressToUnits, which it wraps.
+/// bytes out), in units of codec::kDefaultCompressionUnitSize.
 Status CountedCompress(const codec::Codec* codec, std::string_view raw,
-                       uint64_t unit_size, std::string* out) {
+                       std::string* out) {
   static telemetry::Counter* in_bytes =
       telemetry::MetricsRegistry::Global().GetCounter(
           "orc.writer.compress_in_bytes");
@@ -24,7 +24,8 @@ Status CountedCompress(const codec::Codec* codec, std::string_view raw,
       telemetry::MetricsRegistry::Global().GetCounter(
           "orc.writer.compress_out_bytes");
   size_t before = out->size();
-  MINIHIVE_RETURN_IF_ERROR(codec::CompressToUnits(codec, raw, unit_size, out));
+  MINIHIVE_RETURN_IF_ERROR(codec::CompressToUnits(
+      codec, raw, codec::kDefaultCompressionUnitSize, out));
   in_bytes->Add(raw.size());
   out_bytes->Add(out->size() - before);
   return Status::OK();
@@ -400,8 +401,7 @@ class OrcWriter::Impl {
       default:
         return Status::Internal("EncodeSegment on stripe-scoped stream");
     }
-    return CountedCompress(codec_, raw, options_.compression_unit_size,
-                           stream_out);
+    return CountedCompress(codec_, raw, stream_out);
   }
 
   Status FlushStripe() {
@@ -487,8 +487,7 @@ class OrcWriter::Impl {
             }
             enc.Finish(&raw);
           }
-          MINIHIVE_RETURN_IF_ERROR(CountedCompress(
-              codec_, raw, options_.compression_unit_size, &stream_bytes));
+          MINIHIVE_RETURN_IF_ERROR(CountedCompress(codec_, raw, &stream_bytes));
           ends.push_back(stream_bytes.size());
         } else {
           uint64_t ib = 0, nb = 0;
@@ -524,12 +523,11 @@ class OrcWriter::Impl {
     // Serialize + compress the index and footer sections.
     std::string index_raw, index_bytes;
     index.Serialize(&index_raw);
-    MINIHIVE_RETURN_IF_ERROR(CountedCompress(
-        codec_, index_raw, options_.compression_unit_size, &index_bytes));
+    MINIHIVE_RETURN_IF_ERROR(CountedCompress(codec_, index_raw, &index_bytes));
     std::string footer_raw, footer_bytes;
     footer.Serialize(&footer_raw);
-    MINIHIVE_RETURN_IF_ERROR(CountedCompress(
-        codec_, footer_raw, options_.compression_unit_size, &footer_bytes));
+    MINIHIVE_RETURN_IF_ERROR(
+        CountedCompress(codec_, footer_raw, &footer_bytes));
 
     uint64_t stripe_length =
         index_bytes.size() + data.size() + footer_bytes.size();
@@ -576,17 +574,17 @@ class OrcWriter::Impl {
     tail.file_stats = file_stats_;
     tail.stripe_stats = stripe_stats_;
     tail.compression = options_.compression;
-    tail.compression_unit = options_.compression_unit_size;
+    tail.compression_unit = codec::kDefaultCompressionUnitSize;
     tail.row_index_stride = options_.row_index_stride;
 
     std::string metadata_raw, metadata_bytes;
     SerializeFileMetadata(tail, &metadata_raw);
-    MINIHIVE_RETURN_IF_ERROR(CountedCompress(
-        codec_, metadata_raw, options_.compression_unit_size, &metadata_bytes));
+    MINIHIVE_RETURN_IF_ERROR(
+        CountedCompress(codec_, metadata_raw, &metadata_bytes));
     std::string footer_raw, footer_bytes;
     SerializeFileFooter(tail, &footer_raw);
-    MINIHIVE_RETURN_IF_ERROR(CountedCompress(
-        codec_, footer_raw, options_.compression_unit_size, &footer_bytes));
+    MINIHIVE_RETURN_IF_ERROR(
+        CountedCompress(codec_, footer_raw, &footer_bytes));
 
     // Postscript (uncompressed): footer length, metadata length, codec,
     // unit size, stride, section checksums, magic.
@@ -594,7 +592,7 @@ class OrcWriter::Impl {
     PutVarint64(&postscript, footer_bytes.size());
     PutVarint64(&postscript, metadata_bytes.size());
     postscript.push_back(static_cast<char>(options_.compression));
-    PutVarint64(&postscript, options_.compression_unit_size);
+    PutVarint64(&postscript, codec::kDefaultCompressionUnitSize);
     PutVarint64(&postscript, options_.row_index_stride);
     PutFixed32(&postscript, Crc32(footer_bytes));
     PutFixed32(&postscript, Crc32(metadata_bytes));

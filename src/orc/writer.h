@@ -21,8 +21,8 @@ struct OrcWriterOptions {
   uint64_t stripe_size = 32 * 1024 * 1024;
   /// Rows per index group (paper default 10000).
   uint64_t row_index_stride = 10000;
+  /// Streams are compressed in units of codec::kDefaultCompressionUnitSize.
   codec::CompressionKind compression = codec::CompressionKind::kNone;
-  uint64_t compression_unit_size = codec::kDefaultCompressionUnitSize;
   /// Use dictionary encoding for a string column when
   /// distinct/total <= this threshold (paper default 0.8).
   double dictionary_key_ratio = 0.8;

@@ -169,8 +169,6 @@ Result<QueryResult> Driver::Run(std::string_view sql, bool execute) {
   QueryContext query_ctx;
   query_ctx.set_token(token_);
   query_ctx.set_timeout_millis(options_.query_timeout_millis);
-  query_ctx.set_mapjoin_memory_budget_bytes(
-      options_.mapjoin_memory_budget_bytes);
 
   // Session mode: pass admission control first, then open the query's
   // fair-share scheduler queue. Admission failure is pre-plan, so it can
@@ -264,64 +262,6 @@ Result<QueryResult> Driver::RunOnce(std::string_view sql, bool execute,
         "query:" + std::to_string(query_id));
     plan_span = query_span->StartChild("plan");
   }
-  // Per-query cache deltas for the profile: instance stats are monotonic,
-  // so start-of-query snapshots make the attrs this query's own hits/misses
-  // even across many queries on one session.
-  cache::CacheManager* cache_manager =
-      options_.session != nullptr
-          ? options_.session->manager()->cache_manager()
-          : caches_.get();
-  cache::Cache* block_cache =
-      cache_manager != nullptr ? cache_manager->block_cache() : nullptr;
-  cache::Cache* meta_cache =
-      cache_manager != nullptr ? cache_manager->metadata_cache() : nullptr;
-  cache::Cache::StatsSnapshot block_before, meta_before;
-  if (block_cache != nullptr) block_before = block_cache->stats();
-  if (meta_cache != nullptr) meta_before = meta_cache->stats();
-  // Late-materialization observability: per-query deltas of the reader's
-  // process-wide skip counters plus the DFS physical/cached byte split, so
-  // EXPLAIN PROFILE shows both the rows pruned before lazy decode and the
-  // I/O the pruning saved.
-  telemetry::Counter* late_rows_counter =
-      telemetry::MetricsRegistry::Global().GetCounter(
-          "orc.reader.rows_late_skipped");
-  telemetry::Counter* lazy_decodes_counter =
-      telemetry::MetricsRegistry::Global().GetCounter(
-          "orc.reader.lazy_decodes_avoided");
-  const uint64_t late_rows_before = late_rows_counter->value();
-  const uint64_t lazy_decodes_before = lazy_decodes_counter->value();
-  const uint64_t physical_before = fs_->stats().bytes_read_physical.load();
-  const uint64_t cached_before = fs_->stats().bytes_read_cached.load();
-  // Dispatch-layer observability: the mr.transport.* registry counters are
-  // process-wide and monotonic, so per-query deltas come from start-of-run
-  // snapshots — EXPLAIN PROFILE then shows this query's own dispatches,
-  // retries, speculation and fallbacks.
-  static const char* const kTransportMetrics[] = {
-      "mr.transport.dispatches",          "mr.transport.retries",
-      "mr.transport.rpc_timeouts",        "mr.transport.speculative_launches",
-      "mr.transport.speculative_wins",    "mr.transport.speculative_losses",
-      "mr.transport.local_fallbacks",     "session.workers_heartbeats_missed",
-      "session.workers_deaths",           "session.workers_blacklists",
-  };
-  constexpr size_t kNumTransportMetrics =
-      sizeof(kTransportMetrics) / sizeof(kTransportMetrics[0]);
-  telemetry::Counter* transport_counters[kNumTransportMetrics] = {};
-  uint64_t transport_before[kNumTransportMetrics] = {};
-  if (dispatcher_ != nullptr) {
-    for (size_t i = 0; i < kNumTransportMetrics; ++i) {
-      transport_counters[i] =
-          telemetry::MetricsRegistry::Global().GetCounter(
-              kTransportMetrics[i]);
-      transport_before[i] = transport_counters[i]->value();
-    }
-  }
-  // Scheduler stats are cumulative per queue; snapshot so the profile
-  // shows this run's own tasks and queue wait.
-  TaskScheduler::QueueStats sched_before;
-  if (active_queue_ != nullptr) {
-    sched_before = options_.session->manager()->scheduler()->GetQueueStats(
-        active_queue_);
-  }
   auto finish_profile = [&](QueryResult* result) {
     if (query_span == nullptr) return;
     query_span->SetAttr("num_jobs", static_cast<int64_t>(result->num_jobs));
@@ -331,27 +271,20 @@ Result<QueryResult> Driver::RunOnce(std::string_view sql, bool execute,
       query_span->SetAttr("mapjoin_fallbacks",
                           static_cast<uint64_t>(mapjoin_fallbacks));
     }
-    if (block_cache != nullptr) {
-      cache::Cache::StatsSnapshot now = block_cache->stats();
-      query_span->SetAttr("block_cache_hits", now.hits - block_before.hits);
-      query_span->SetAttr("block_cache_misses",
-                          now.misses - block_before.misses);
+    // The statement's own I/O, cache and late-materialization counts.
+    cache::CacheManager* caches =
+        options_.session != nullptr
+            ? options_.session->manager()->cache_manager()
+            : caches_.get();
+    const bool has_block = caches != nullptr && caches->block_cache();
+    const bool has_meta = caches != nullptr && caches->metadata_cache();
+    for (const auto& f : QueryMetrics::fields()) {
+      if ((f.cache == QueryMetrics::CacheLevel::kBlock && !has_block) ||
+          (f.cache == QueryMetrics::CacheLevel::kMetadata && !has_meta)) {
+        continue;  // That cache is not installed.
+      }
+      query_span->SetAttr(f.name, (query_ctx.metrics()->*f.member).load());
     }
-    if (meta_cache != nullptr) {
-      cache::Cache::StatsSnapshot now = meta_cache->stats();
-      query_span->SetAttr("metadata_cache_hits", now.hits - meta_before.hits);
-      query_span->SetAttr("metadata_cache_misses",
-                          now.misses - meta_before.misses);
-    }
-    query_span->SetAttr("rows_late_skipped",
-                        late_rows_counter->value() - late_rows_before);
-    query_span->SetAttr("lazy_decodes_avoided",
-                        lazy_decodes_counter->value() - lazy_decodes_before);
-    query_span->SetAttr(
-        "physical_bytes_read",
-        fs_->stats().bytes_read_physical.load() - physical_before);
-    query_span->SetAttr("cached_bytes_read",
-                        fs_->stats().bytes_read_cached.load() - cached_before);
     if (active_admission_ != nullptr) {
       query_span->SetAttr(
           "admission_queue_wait_millis",
@@ -362,24 +295,30 @@ Result<QueryResult> Driver::RunOnce(std::string_view sql, bool execute,
                           active_admission_->budget()->peak_used());
     }
     if (active_queue_ != nullptr) {
-      TaskScheduler::QueueStats now =
+      // The queue is registered per statement, so its stats are its own.
+      TaskScheduler::QueueStats sched =
           options_.session->manager()->scheduler()->GetQueueStats(
               active_queue_);
-      query_span->SetAttr("sched_tasks_run",
-                          now.tasks_run - sched_before.tasks_run);
-      query_span->SetAttr(
-          "sched_queue_wait_millis",
-          (now.queue_wait_nanos - sched_before.queue_wait_nanos) / 1000000);
+      query_span->SetAttr("sched_tasks_run", sched.tasks_run);
+      query_span->SetAttr("sched_queue_wait_millis",
+                          sched.queue_wait_nanos / 1000000);
     }
     if (dispatcher_ != nullptr) {
       query_span->SetAttr("dispatch_transport",
                           std::string_view(dispatcher_->transport()->name()));
-      for (size_t i = 0; i < kNumTransportMetrics; ++i) {
-        // Attr name: drop the "mr."/"session." prefix, keep the rest.
-        std::string_view name = kTransportMetrics[i];
-        name.remove_prefix(name.find('.') + 1);
-        query_span->SetAttr(
-            name, transport_counters[i]->value() - transport_before[i]);
+      // This run's own dispatch outcomes, summed over its jobs.
+      using C = mr::JobCounters;
+      static constexpr std::pair<const char*, std::atomic<uint64_t> C::*>
+          kTransportAttrs[] = {
+              {"transport.dispatches", &C::transport_dispatches},
+              {"transport.retries", &C::transport_retries},
+              {"transport.rpc_timeouts", &C::transport_rpc_timeouts},
+              {"transport.speculative_launches", &C::speculative_launches},
+              {"transport.speculative_wins", &C::speculative_wins},
+              {"transport.speculative_losses", &C::speculative_losses},
+              {"transport.local_fallbacks", &C::transport_fallbacks}};
+      for (const auto& [name, member] : kTransportAttrs) {
+        query_span->SetAttr(name, (result->counters.*member).load());
       }
     }
     query_span->SetAttr("simd_dispatch", std::string_view(simd::DispatchName()));
@@ -402,7 +341,7 @@ Result<QueryResult> Driver::RunOnce(std::string_view sql, bool execute,
     bool answered = false;
     QueryResult stats_result;
     MINIHIVE_RETURN_IF_ERROR(TryAnswerFromStatistics(
-        plan, catalog_, &answered, &stats_result.rows));
+        plan, catalog_, &query_ctx, &answered, &stats_result.rows));
     if (answered) {
       stats_result.column_names = plan.result_names;
       stats_result.num_jobs = 0;
@@ -500,14 +439,16 @@ Result<QueryResult> Driver::RunOnce(std::string_view sql, bool execute,
   telemetry::Span* fetch_span =
       query_span != nullptr ? query_span->StartChild("fetch") : nullptr;
   const int max_fetch_attempts = std::max(1, options_.max_task_attempts);
+  TaskGovernor fetch_governor(&query_ctx);
+  formats::ReadOptions fetch_options;
+  fetch_options.governor = &fetch_governor;
   for (const std::string& path : fs_->List(result_path + "/part-")) {
     Status last;
     for (int attempt = 0; attempt < max_fetch_attempts; ++attempt) {
       last = query_ctx.CheckAlive();
       if (!last.ok()) break;
       std::vector<Row> file_rows;
-      auto reader =
-          format->OpenReader(fs_, path, nullptr, formats::ReadOptions());
+      auto reader = format->OpenReader(fs_, path, nullptr, fetch_options);
       last = reader.status();
       if (!last.ok()) continue;
       Row row;

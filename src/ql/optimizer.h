@@ -1,6 +1,7 @@
 #ifndef MINIHIVE_QL_OPTIMIZER_H_
 #define MINIHIVE_QL_OPTIMIZER_H_
 
+#include "common/query_context.h"
 #include "ql/analyzer.h"
 #include "ql/catalog.h"
 
@@ -34,9 +35,10 @@ Status MergeMapOnlyJobs(PlannedQuery* plan, uint64_t threshold_bytes);
 /// §4.2: answers a simple aggregation query (COUNT/MIN/MAX/SUM/AVG over an
 /// unfiltered ORC table) directly from the files' statistics, without
 /// scanning any data. On success fills *rows and sets *answered; leaves the
-/// plan untouched otherwise.
+/// plan untouched otherwise. Footer reads are charged to `query`'s metrics.
 Status TryAnswerFromStatistics(const PlannedQuery& plan,
-                               const Catalog* catalog, bool* answered,
+                               const Catalog* catalog,
+                               const QueryContext* query, bool* answered,
                                std::vector<Row>* rows);
 
 /// §5.2: the Correlation Optimizer (YSmart-based). Detects input

@@ -144,47 +144,6 @@ __attribute__((target("avx2"))) inline void StoreMask4(__m256i eq,
   mask[3] = (bits >> 3) & 1;
 }
 
-__attribute__((target("avx2"))) void CompareMaskI64Avx2(Cmp op,
-                                                        const int64_t* in,
-                                                        int64_t scalar, int n,
-                                                        uint8_t* mask) {
-  const __m256i s = _mm256_set1_epi64x(scalar);
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + i));
-    __m256i r;
-    switch (op) {
-      case Cmp::kEq:
-        r = _mm256_cmpeq_epi64(v, s);
-        break;
-      case Cmp::kNe:
-        r = _mm256_xor_si256(_mm256_cmpeq_epi64(v, s),
-                             _mm256_set1_epi64x(-1));
-        break;
-      case Cmp::kLt:
-        r = _mm256_cmpgt_epi64(s, v);
-        break;
-      case Cmp::kLe:  // v <= s  ==  !(v > s)
-        r = _mm256_xor_si256(_mm256_cmpgt_epi64(v, s),
-                             _mm256_set1_epi64x(-1));
-        break;
-      case Cmp::kGt:
-        r = _mm256_cmpgt_epi64(v, s);
-        break;
-      case Cmp::kGe:  // v >= s  ==  !(s > v)
-        r = _mm256_xor_si256(_mm256_cmpgt_epi64(s, v),
-                             _mm256_set1_epi64x(-1));
-        break;
-      default:
-        r = _mm256_setzero_si256();
-        break;
-    }
-    StoreMask4(r, mask + i);
-  }
-  if (i < n) CompareMaskScalar<int64_t>(op, in + i, scalar, n - i, mask + i);
-}
-
 __attribute__((target("avx2"))) void CompareMaskF64Avx2(Cmp op,
                                                         const double* in,
                                                         double scalar, int n,
@@ -389,12 +348,6 @@ const char* DispatchName() { return UsingAvx2() ? "avx2" : "scalar"; }
 
 void CompareMaskI64(Cmp op, const int64_t* in, int64_t scalar, int n,
                     uint8_t* mask) {
-#ifdef MINIHIVE_SIMD_AVX2
-  if (UsingAvx2()) {
-    CompareMaskI64Avx2(op, in, scalar, n, mask);
-    return;
-  }
-#endif
   CompareMaskScalar<int64_t>(op, in, scalar, n, mask);
 }
 

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/random.h"
 #include "orc/reader.h"
 #include "orc/writer.h"
@@ -147,6 +148,50 @@ TEST(OrcCorruptionTest, ChecksumMismatchMessageNamesTheSection) {
   auto reader = OrcReader::Open(&fs, "/orc/tail");
   ASSERT_FALSE(reader.ok());
   EXPECT_TRUE(reader.status().IsCorruption()) << reader.status().ToString();
+}
+
+/// Returns `file` with its postscript's compression-unit varint replaced by
+/// `unit` (the postscript is unchecksummed, so only the bound can catch it).
+std::string WithCompressionUnit(const std::string& file, uint64_t unit) {
+  const size_t ps_len = static_cast<uint8_t>(file.back());
+  const size_t ps_start = file.size() - 1 - ps_len;
+  ByteReader ps(std::string_view(file).substr(ps_start, ps_len));
+  uint64_t ignored;
+  uint8_t codec_byte;
+  EXPECT_TRUE(ps.GetVarint64(&ignored).ok());  // Footer length.
+  EXPECT_TRUE(ps.GetVarint64(&ignored).ok());  // Metadata length.
+  EXPECT_TRUE(ps.GetByte(&codec_byte).ok());
+  const size_t unit_start = ps.position();
+  EXPECT_TRUE(ps.GetVarint64(&ignored).ok());
+  std::string postscript = file.substr(ps_start, unit_start);
+  PutVarint64(&postscript, unit);
+  postscript += file.substr(ps_start + ps.position(),
+                            ps_len - ps.position());
+  return file.substr(0, ps_start) + postscript +
+         static_cast<char>(postscript.size());
+}
+
+TEST(OrcCorruptionTest, CompressionUnitOutOfBoundsIsRejected) {
+  dfs::FileSystem fs;
+  WriteFile(&fs, "/orc/unit", 2000);
+  const std::string pristine = ReadWholeFile(&fs, "/orc/unit");
+
+  // The writer's own unit size round-trips through the patch unchanged.
+  OverwriteFile(&fs, "/orc/unit",
+                WithCompressionUnit(pristine,
+                                    codec::kDefaultCompressionUnitSize));
+  std::vector<Row> rows;
+  ASSERT_TRUE(ReadAllRows(&fs, "/orc/unit", &rows).ok());
+  EXPECT_EQ(rows.size(), 2000u);
+
+  for (uint64_t unit : {uint64_t{0}, codec::kDefaultCompressionUnitSize + 1,
+                        uint64_t{1} << 40}) {
+    OverwriteFile(&fs, "/orc/unit", WithCompressionUnit(pristine, unit));
+    auto reader = OrcReader::Open(&fs, "/orc/unit");
+    ASSERT_FALSE(reader.ok()) << "unit " << unit;
+    EXPECT_TRUE(reader.status().IsCorruption())
+        << reader.status().ToString();
+  }
 }
 
 TEST(OrcCorruptionTest, UntouchedStripesRemainReadable) {

@@ -2,12 +2,15 @@
 /// running distinct queries over the shared worker pool must produce
 /// byte-identical results to serial runs, cancellation/deadline of one
 /// query must never perturb another, and admission rejection must be typed
-/// and leak-free (no stray scratch or attempt files).
+/// and leak-free (no stray scratch or attempt files), and a query's
+/// profiled I/O, cache and late-materialization counts must be its own.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,6 +18,7 @@
 #include "common/fault.h"
 #include "common/query_context.h"
 #include "common/session.h"
+#include "common/json.h"
 #include "datagen/loader.h"
 #include "ql/driver.h"
 
@@ -296,6 +300,130 @@ TEST_F(ConcurrencyTest, QueuedQueryRunsAfterBudgetFrees) {
   holder = Status::Internal("drop");
   queued.join();
   EXPECT_TRUE(query_done.load());
+}
+
+/// The query span's per-query I/O, cache and late-materialization
+/// attributes, read back from the profile's JSON.
+std::map<std::string, uint64_t> ScopeAttrs(const QueryResult& result) {
+  json::Writer writer;
+  result.profile->WriteJson(&writer, /*include_timing=*/false);
+  const std::string text = writer.str();
+  std::map<std::string, uint64_t> attrs;
+  for (const char* key :
+       {"physical_bytes_read", "cached_bytes_read", "block_cache_hits",
+        "block_cache_misses", "metadata_cache_hits", "metadata_cache_misses",
+        "rows_late_skipped", "lazy_decodes_avoided"}) {
+    const std::string needle = "\"" + std::string(key) + "\": ";
+    size_t pos = text.find(needle);
+    EXPECT_NE(pos, std::string::npos) << key << " missing in " << text;
+    if (pos == std::string::npos) continue;
+    attrs[key] = std::strtoull(text.c_str() + pos + needle.size(), nullptr, 10);
+  }
+  return attrs;
+}
+
+TEST_F(ConcurrencyTest, ProfileCountsOnlyTheQuerysOwnReads) {
+  // Two files, one index group each. File 0 holds only even keys, so
+  // `p_key = 7` passes its group statistics but rejects every row
+  // (lazy decodes avoided); file 1 keeps a tenth of its rows.
+  std::vector<Row> probe_rows;
+  for (int i = 0; i < 2000; ++i) {
+    probe_rows.push_back({Value::Int(i),
+                          Value::Int(i < 1000 ? (i % 10) * 2 : i % 10),
+                          Value::String("p-" + std::to_string(i % 50))});
+  }
+  ASSERT_TRUE(datagen::CreateAndLoad(
+                  catalog_.get(), "probe",
+                  *TypeDescription::Parse("struct<p_id:bigint,p_key:bigint,"
+                                          "p_name:string>"),
+                  formats::FormatKind::kOrcFile,
+                  codec::CompressionKind::kNone, probe_rows, 2)
+                  .ok());
+  // A statistics-only aggregation (footer reads, no job; first, while the
+  // footers are still cold), a late-materialized scan, and a map-join whose
+  // build reads customers.
+  const std::vector<std::string> probes = {
+      "EXPLAIN PROFILE SELECT COUNT(*), MAX(p_id) FROM probe",
+      "EXPLAIN PROFILE SELECT p_id, p_name FROM probe WHERE p_key = 7",
+      "EXPLAIN PROFILE SELECT p_name, c_name FROM probe JOIN customers "
+      "ON p_key = c_id"};
+
+  // The session caches hold every table, so nothing is evicted and each
+  // warm probe's cache hits and misses are fixed.
+  SessionManagerOptions session_options;
+  session_options.num_workers = 4;
+  SessionManager manager(session_options);
+  std::unique_ptr<Session> session = manager.NewSession("probe");
+  DriverOptions options;
+  options.session = session.get();
+  options.vectorized_execution = true;
+  Driver probe_driver(fs_.get(), catalog_.get(), options);
+  auto run_probe = [&](const std::string& sql) {
+    auto result = probe_driver.Execute(sql);
+    EXPECT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+    if (!result.ok() || result->profile == nullptr) {
+      return std::map<std::string, uint64_t>();
+    }
+    return ScopeAttrs(*result);
+  };
+
+  // Cold, alone: the scope covers every byte the query read, fetch,
+  // map-join build and footer reads included.
+  for (const std::string& sql : probes) {
+    const uint64_t before = fs_->stats().bytes_read.load();
+    std::map<std::string, uint64_t> cold = run_probe(sql);
+    const uint64_t delta = fs_->stats().bytes_read.load() - before;
+    EXPECT_GT(delta, 0u) << sql;
+    EXPECT_EQ(cold["physical_bytes_read"] + cold["cached_bytes_read"], delta)
+        << sql;
+  }
+
+  // Warm, alone: the reference counts.
+  std::vector<std::map<std::string, uint64_t>> alone;
+  for (const std::string& sql : probes) alone.push_back(run_probe(sql));
+  EXPECT_GT(alone[1]["rows_late_skipped"], 0u);
+  EXPECT_GT(alone[1]["lazy_decodes_avoided"], 0u);
+  EXPECT_GT(alone[1]["metadata_cache_hits"], 0u);
+  EXPECT_GT(alone[1]["block_cache_hits"], 0u);
+
+  // Beside 4 concurrent late-materialized scans of the larger orders table
+  // on the same filesystem and caches, every count stays the same.
+  constexpr int kScanners = 4;
+  std::atomic<bool> stop{false};
+  std::atomic<int> scanners_ready{0};  // Finished their first scan.
+  std::vector<Status> scan_status(kScanners);
+  std::vector<std::thread> scanners;
+  for (int t = 0; t < kScanners; ++t) {
+    scanners.emplace_back([&, t] {
+      DriverOptions scan_options;
+      scan_options.session = session.get();
+      scan_options.vectorized_execution = true;
+      Driver driver(fs_.get(), catalog_.get(), scan_options);
+      for (int n = 0; !stop.load(); ++n) {
+        auto result = driver.Execute(
+            "SELECT o_id, o_amount FROM orders "
+            "WHERE o_amount > 100.0 AND o_status = 'open'");
+        scan_status[t] = result.status();
+        if (n == 0) scanners_ready.fetch_add(1);
+        if (!result.ok()) break;
+      }
+    });
+  }
+  while (scanners_ready.load() < kScanners) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (int round = 0; round < 3; ++round) {
+    for (size_t q = 0; q < probes.size(); ++q) {
+      EXPECT_EQ(run_probe(probes[q]), alone[q])
+          << probes[q] << " (round " << round << ")";
+    }
+  }
+  stop.store(true);
+  for (std::thread& t : scanners) t.join();
+  for (int t = 0; t < kScanners; ++t) {
+    EXPECT_TRUE(scan_status[t].ok()) << scan_status[t].ToString();
+  }
+  EXPECT_TRUE(LeakedTempFiles().empty());
 }
 
 }  // namespace

@@ -146,6 +146,44 @@ void BM_SimdCompareMaskI64(benchmark::State& state) {
 }
 BENCHMARK(BM_SimdCompareMaskI64)->ArgName("simd")->Arg(0);
 
+void BM_SimdCompareMaskF64(benchmark::State& state) {
+  simd::SetEnabled(state.range(0) != 0);
+  Random rng(8);
+  std::vector<double> vals(kSimdBenchRows);
+  for (auto& v : vals) v = rng.NextDouble() * 100;
+  std::vector<uint8_t> mask(vals.size());
+  std::vector<int> sel(vals.size());
+  int64_t sink = 0;
+  for (auto _ : state) {
+    simd::CompareMaskF64(simd::Cmp::kLt, vals.data(), 50.0, kSimdBenchRows,
+                         mask.data());
+    sink += simd::MaskToSelected(mask.data(), kSimdBenchRows, sel.data());
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(state.iterations() * kSimdBenchRows);
+  simd::SetEnabled(true);
+}
+BENCHMARK(BM_SimdCompareMaskF64)->ArgName("simd")->Arg(0);
+
+void BM_SimdBetweenMaskI64(benchmark::State& state) {
+  simd::SetEnabled(state.range(0) != 0);
+  Random rng(9);
+  std::vector<int64_t> vals(kSimdBenchRows);
+  for (auto& v : vals) v = static_cast<int64_t>(rng.Uniform(100000));
+  std::vector<uint8_t> mask(vals.size());
+  std::vector<int> sel(vals.size());
+  int64_t sink = 0;
+  for (auto _ : state) {
+    simd::BetweenMaskI64(vals.data(), 25000, 75000, kSimdBenchRows,
+                         mask.data());
+    sink += simd::MaskToSelected(mask.data(), kSimdBenchRows, sel.data());
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(state.iterations() * kSimdBenchRows);
+  simd::SetEnabled(true);
+}
+BENCHMARK(BM_SimdBetweenMaskI64)->ArgName("simd")->Arg(0)->Arg(1);
+
 void BM_SimdBetweenMaskF64(benchmark::State& state) {
   simd::SetEnabled(state.range(0) != 0);
   Random rng(5);
@@ -182,6 +220,56 @@ void BM_SimdArithColColF64(benchmark::State& state) {
   simd::SetEnabled(true);
 }
 BENCHMARK(BM_SimdArithColColF64)->ArgName("simd")->Arg(0)->Arg(1);
+
+void BM_SimdArithColColI64(benchmark::State& state) {
+  simd::SetEnabled(state.range(0) != 0);
+  Random rng(10);
+  std::vector<int64_t> a(kSimdBenchRows), b(kSimdBenchRows),
+      out(kSimdBenchRows);
+  for (int i = 0; i < kSimdBenchRows; ++i) {
+    a[i] = static_cast<int64_t>(rng.Uniform(100000));
+    b[i] = static_cast<int64_t>(rng.Uniform(100));
+  }
+  for (auto _ : state) {
+    simd::ArithColColI64(simd::Arith::kMul, a.data(), b.data(),
+                         kSimdBenchRows, out.data());
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kSimdBenchRows);
+  simd::SetEnabled(true);
+}
+BENCHMARK(BM_SimdArithColColI64)->ArgName("simd")->Arg(0)->Arg(1);
+
+void BM_SimdArithScalarI64(benchmark::State& state) {
+  simd::SetEnabled(state.range(0) != 0);
+  Random rng(11);
+  std::vector<int64_t> in(kSimdBenchRows), out(kSimdBenchRows);
+  for (auto& v : in) v = static_cast<int64_t>(rng.Uniform(100000));
+  for (auto _ : state) {
+    simd::ArithScalarI64(simd::Arith::kMul, in.data(), 7,
+                         /*scalar_left=*/false, kSimdBenchRows, out.data());
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kSimdBenchRows);
+  simd::SetEnabled(true);
+}
+BENCHMARK(BM_SimdArithScalarI64)->ArgName("simd")->Arg(0)->Arg(1);
+
+void BM_SimdArithScalarF64(benchmark::State& state) {
+  simd::SetEnabled(state.range(0) != 0);
+  Random rng(12);
+  std::vector<double> in(kSimdBenchRows), out(kSimdBenchRows);
+  for (auto& v : in) v = rng.NextDouble() * 100;
+  for (auto _ : state) {
+    // Q1's (1 - l_discount) shape: scalar on the left.
+    simd::ArithScalarF64(simd::Arith::kSub, in.data(), 1.0,
+                         /*scalar_left=*/true, kSimdBenchRows, out.data());
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kSimdBenchRows);
+  simd::SetEnabled(true);
+}
+BENCHMARK(BM_SimdArithScalarF64)->ArgName("simd")->Arg(0)->Arg(1);
 
 void BM_SimdHashBytes(benchmark::State& state) {
   simd::SetEnabled(state.range(0) != 0);

@@ -63,8 +63,8 @@ int Run() {
                 result->counters.shuffled_bytes.load() / (1024.0 * 1024.0));
     for (const auto& job : result->jobs) {
       std::printf("  %-18s %6.0f ms  (%d map / %d reduce tasks)\n",
-                  job.name.c_str(), job.elapsed_millis, job.map_tasks,
-                  job.reduce_tasks);
+                  job.name.c_str(), job.elapsed_millis,
+                  job.counters.map_tasks, job.counters.reduce_tasks);
     }
     if (&config == &configs[3]) {
       std::printf("\nresults:\n");

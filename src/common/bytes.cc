@@ -78,6 +78,14 @@ Status ByteReader::GetFixed64(uint64_t* value) {
   return Status::OK();
 }
 
+Status ByteReader::GetCount(uint64_t* count) {
+  MINIHIVE_RETURN_IF_ERROR(GetVarint64(count));
+  if (*count > remaining()) {
+    return Status::Corruption("element count larger than the bytes left");
+  }
+  return Status::OK();
+}
+
 Status ByteReader::GetFixed32(uint32_t* value) {
   if (remaining() < 4) return Status::Corruption("truncated fixed32");
   uint32_t result = 0;

@@ -48,6 +48,10 @@ class ByteReader {
   }
 
   Status GetVarint64(uint64_t* value);
+  /// Reads a varint element count and rejects one larger than the bytes
+  /// left: every element takes at least one byte, so callers may size a
+  /// buffer from the count before parsing its elements.
+  Status GetCount(uint64_t* count);
   Status GetVarintSigned64(int64_t* value);
   Status GetFixed64(uint64_t* value);
   Status GetFixed32(uint32_t* value);

@@ -107,9 +107,6 @@ struct TaskContext {
   /// The pipeline driver polls it at row/batch boundaries; readers check it
   /// per index group. Null = ungoverned.
   const TaskGovernor* governor = nullptr;
-  /// Let ORC readers use the session metadata cache (when one is installed
-  /// on the filesystem). Off = every task re-parses file tails.
-  bool use_metadata_cache = true;
   /// Two-phase late-materialized vectorized ORC scans (filter columns
   /// first, lazy columns only for surviving groups).
   bool enable_late_materialization = true;

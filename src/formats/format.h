@@ -51,13 +51,6 @@ struct ReadOptions {
   /// passes. Every reader charges its reads to the governor's query
   /// metrics scope. Null = ungoverned and uncharged.
   const TaskGovernor* governor = nullptr;
-  /// Serve/populate the session ORC metadata cache (no-op for formats
-  /// without cached metadata, and when the filesystem has no cache).
-  bool use_metadata_cache = true;
-  /// Two-phase late-materialized vectorized scans (ORC only): evaluate
-  /// row-evaluable pushed-down predicates first, decode remaining projected
-  /// columns only for surviving groups. Ignored by row-mode readers.
-  bool enable_late_materialization = true;
   /// Merge-on-read deletion marks for this file (mutable unique-key
   /// tables). Only ORC applies it — managed mutable tables are ORC-only —
   /// and the bitmap must outlive the reader. Null = no deletions.

@@ -1,6 +1,8 @@
 #include "orc/reader.h"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <bit>
 #include <cstring>
 #include <map>
@@ -16,42 +18,104 @@ namespace minihive::orc {
 
 namespace {
 
-// Process-wide I/O counters (resolved once; registry pointers are stable).
-telemetry::Counter* DataBytesRead() {
-  static telemetry::Counter* c = telemetry::MetricsRegistry::Global().GetCounter(
-      "orc.reader.data_bytes_read");
-  return c;
+/// Every event a reader counts. Each one is counted in one place,
+/// EventCounts::Count, into the reader's own tally, its `orc.reader.*`
+/// registry counter and the query's metrics scope, where those exist.
+enum class Event : size_t {
+  kStripesRead,
+  kStripesSkipped,
+  kGroupsRead,
+  kGroupsSkipped,
+  kRowsLateSkipped,
+  kLazyDecodesAvoided,
+  kRowsDeletedSkipped,
+  kDataBytesRead,
+  kIndexBytesRead,
+  kTailBytesRead,
+  kFooterParsesAvoided,
+  kIndexDecodesAvoided,
+  kMetadataCacheHits,
+  kMetadataCacheMisses,
+  kNumEvents,
+};
+constexpr size_t kNumEvents = static_cast<size_t>(Event::kNumEvents);
+
+struct EventSpec {
+  Event event;
+  const char* counter;                         // Registry name, or null.
+  std::atomic<uint64_t> QueryMetrics::*scope;  // Query-scope field, or null.
+};
+
+constexpr std::array<EventSpec, kNumEvents> kEventSpecs = {{
+    {Event::kStripesRead, "orc.reader.stripes_read", nullptr},
+    {Event::kStripesSkipped, "orc.reader.stripes_skipped", nullptr},
+    {Event::kGroupsRead, "orc.reader.groups_read", nullptr},
+    {Event::kGroupsSkipped, "orc.reader.groups_skipped", nullptr},
+    {Event::kRowsLateSkipped, "orc.reader.rows_late_skipped",
+     &QueryMetrics::rows_late_skipped},
+    {Event::kLazyDecodesAvoided, "orc.reader.lazy_decodes_avoided",
+     &QueryMetrics::lazy_decodes_avoided},
+    {Event::kRowsDeletedSkipped, nullptr, nullptr},
+    {Event::kDataBytesRead, "orc.reader.data_bytes_read", nullptr},
+    {Event::kIndexBytesRead, "orc.reader.index_bytes_read", nullptr},
+    {Event::kTailBytesRead, "orc.reader.tail_bytes_read", nullptr},
+    {Event::kFooterParsesAvoided, "orc.reader.footer_parses_avoided",
+     nullptr},
+    {Event::kIndexDecodesAvoided, "orc.reader.index_decodes_avoided",
+     nullptr},
+    {Event::kMetadataCacheHits, nullptr, &QueryMetrics::metadata_cache_hits},
+    {Event::kMetadataCacheMisses, nullptr,
+     &QueryMetrics::metadata_cache_misses},
+}};
+
+constexpr bool EventSpecsInOrder() {
+  for (size_t e = 0; e < kNumEvents; ++e) {
+    if (static_cast<size_t>(kEventSpecs[e].event) != e) return false;
+  }
+  return true;
 }
-telemetry::Counter* IndexBytesRead() {
-  static telemetry::Counter* c = telemetry::MetricsRegistry::Global().GetCounter(
-      "orc.reader.index_bytes_read");
-  return c;
-}
-telemetry::Counter* TailBytesRead() {
-  static telemetry::Counter* c = telemetry::MetricsRegistry::Global().GetCounter(
-      "orc.reader.tail_bytes_read");
-  return c;
-}
-telemetry::Counter* FooterParsesAvoided() {
-  static telemetry::Counter* c = telemetry::MetricsRegistry::Global().GetCounter(
-      "orc.reader.footer_parses_avoided");
-  return c;
-}
-telemetry::Counter* IndexDecodesAvoided() {
-  static telemetry::Counter* c = telemetry::MetricsRegistry::Global().GetCounter(
-      "orc.reader.index_decodes_avoided");
-  return c;
-}
-telemetry::Counter* RowsLateSkippedCounter() {
-  static telemetry::Counter* c = telemetry::MetricsRegistry::Global().GetCounter(
-      "orc.reader.rows_late_skipped");
-  return c;
-}
-telemetry::Counter* LazyDecodesAvoidedCounter() {
-  static telemetry::Counter* c = telemetry::MetricsRegistry::Global().GetCounter(
-      "orc.reader.lazy_decodes_avoided");
-  return c;
-}
+static_assert(EventSpecsInOrder(), "kEventSpecs must list events in order");
+
+/// One reader's event tallies, mirrored into the process registry and the
+/// query's metrics scope as they are counted.
+class EventCounts {
+ public:
+  explicit EventCounts(QueryMetrics* scope) : scope_(scope) {}
+
+  void Count(Event event, uint64_t n = 1) {
+    if (n == 0) return;
+    const size_t e = static_cast<size_t>(event);
+    tally_[e] += n;
+    if (telemetry::Counter* counter = RegistryCounters()[e]) counter->Add(n);
+    if (scope_ != nullptr && kEventSpecs[e].scope != nullptr) {
+      scope_->*kEventSpecs[e].scope += n;
+    }
+  }
+
+  uint64_t operator[](Event event) const {
+    return tally_[static_cast<size_t>(event)];
+  }
+
+ private:
+  /// The events' registry counters, resolved once per process (registry
+  /// pointers are stable).
+  static const std::array<telemetry::Counter*, kNumEvents>& RegistryCounters() {
+    static const std::array<telemetry::Counter*, kNumEvents> counters = [] {
+      std::array<telemetry::Counter*, kNumEvents> resolved{};
+      for (size_t e = 0; e < kNumEvents; ++e) {
+        if (kEventSpecs[e].counter != nullptr) {
+          resolved[e] = telemetry::MetricsRegistry::Global().GetCounter(
+              kEventSpecs[e].counter);
+        }
+      }
+      return resolved;
+    }();
+    return counters;
+  }
+
+  QueryMetrics* scope_;
+  std::array<uint64_t, kNumEvents> tally_{};
+};
 
 /// Watches the fault injector across a parse's reads: if any read in the
 /// watched window was delayed or byte-flipped, the parse is "tainted" and
@@ -158,6 +222,113 @@ Status VerifyCrc(std::string_view stored, uint32_t expected,
   return Status::OK();
 }
 
+/// The one path every stored byte range of the file takes: fetch it and
+/// count its bytes, verify its CRC-32 when checksums are on, and decompress
+/// its units, each bounded by the file's compression unit. Tail sections,
+/// stripe footers, stripe indexes and whole streams use ReadSection; a PPD
+/// stream segment arrives inside a coalesced run fetched once, so it uses
+/// only the DecodeSection half.
+class SectionReader {
+ public:
+  SectionReader(dfs::ReadableFile* file, int host, bool verify,
+                EventCounts* events)
+      : file_(file), host_(host), verify_(verify), events_(events) {}
+
+  /// Adopts the codec and unit bound of the file's compressed sections.
+  void SetCodec(const FileTail& tail) {
+    codec_ = codec::GetCodec(tail.compression);
+    unit_ = tail.compression_unit;
+  }
+
+  /// Reads [offset, offset + length) into *stored, counting it as `bytes`.
+  Status Fetch(uint64_t offset, uint64_t length, Event bytes,
+               std::string* stored) {
+    stored->clear();
+    if (length == 0) return Status::OK();
+    MINIHIVE_RETURN_IF_ERROR(file_->ReadAt(offset, length, stored, host_));
+    events_->Count(bytes, length);
+    return Status::OK();
+  }
+
+  /// Verifies `stored` against `crc` and decompresses it into *raw.
+  Status DecodeSection(std::string_view stored, uint32_t crc,
+                       const char* what, std::string* raw) const {
+    if (verify_) MINIHIVE_RETURN_IF_ERROR(VerifyCrc(stored, crc, what));
+    raw->clear();
+    return codec::DecompressUnits(codec_, stored, raw, unit_);
+  }
+
+  Status ReadSection(uint64_t offset, uint64_t length, uint32_t crc,
+                     const char* what, Event bytes, std::string* raw) {
+    std::string stored;
+    MINIHIVE_RETURN_IF_ERROR(Fetch(offset, length, bytes, &stored));
+    return DecodeSection(stored, crc, what, raw);
+  }
+
+ private:
+  dfs::ReadableFile* file_;
+  int host_;
+  bool verify_;
+  EventCounts* events_;
+  const codec::Codec* codec_ = nullptr;
+  uint64_t unit_ = 0;
+};
+
+/// The reader indexes its column tree and per-column arrays with numbers
+/// read from the stripe footer, so each is checked against the schema.
+Status CheckStripeFooter(const StripeFooter& footer, size_t num_columns) {
+  if (footer.encodings.size() != num_columns) {
+    return Status::Corruption(
+        "ORC stripe footer column count does not match the schema");
+  }
+  for (const StreamInfo& s : footer.streams) {
+    if (s.column >= num_columns) {
+      return Status::Corruption(
+          "ORC stripe footer stream names a column outside the schema");
+    }
+  }
+  return Status::OK();
+}
+
+/// The row index addresses the footer's streams and columns group by
+/// group: its shape and segment offsets must agree with the footer.
+Status CheckStripeIndex(const StripeIndex& index, const StripeFooter& footer) {
+  const size_t num_streams = footer.streams.size();
+  if (index.segment_ends.size() != num_streams ||
+      index.segment_crcs.size() != num_streams) {
+    return Status::Corruption(
+        "ORC stripe index stream count does not match the stripe footer");
+  }
+  for (size_t si = 0; si < num_streams; ++si) {
+    const StreamInfo& s = footer.streams[si];
+    const size_t segments = IsStripeScoped(s.kind) ? 1 : footer.num_groups;
+    if (index.segment_ends[si].size() != segments ||
+        index.segment_crcs[si].size() != segments) {
+      return Status::Corruption(
+          "ORC stripe index segment list does not match the group count");
+    }
+    uint64_t prev = 0;
+    for (uint64_t end : index.segment_ends[si]) {
+      if (end < prev || end > s.length) {
+        return Status::Corruption(
+            "ORC stripe index segment ends decrease or pass the stream");
+      }
+      prev = end;
+    }
+  }
+  if (index.group_stats.size() != footer.encodings.size()) {
+    return Status::Corruption(
+        "ORC stripe index statistics do not cover every column");
+  }
+  for (const std::vector<ColumnStatistics>& column : index.group_stats) {
+    if (column.size() != footer.num_groups) {
+      return Status::Corruption(
+          "ORC stripe index statistics do not cover every group");
+    }
+  }
+  return Status::OK();
+}
+
 /// Reads one stream of one stripe. Two modes:
 ///  - full: the entire stream is fetched and decompressed at init; groups
 ///    are decoded strictly in order with persistent decoders (no index data
@@ -168,44 +339,27 @@ Status VerifyCrc(std::string_view stored, uint32_t expected,
 ///    group boundaries, so a group is independently decodable).
 class StreamReader {
  public:
-  Status InitFull(dfs::ReadableFile* file, uint64_t file_start,
-                  uint64_t length, const codec::Codec* codec,
-                  uint64_t unit_size, int host, uint32_t expected_crc,
-                  bool verify) {
+  Status InitFull(SectionReader* sections, uint64_t file_start,
+                  const StreamInfo& stream) {
     full_mode_ = true;
-    file_start_ = file_start;
-    codec_ = codec;
-    unit_size_ = unit_size;
-    std::string stored;
-    if (length > 0) {
-      MINIHIVE_RETURN_IF_ERROR(file->ReadAt(file_start, length, &stored, host));
-      DataBytesRead()->Add(length);
-    }
-    if (verify) {
-      MINIHIVE_RETURN_IF_ERROR(VerifyCrc(stored, expected_crc, "stream"));
-    }
-    raw_.clear();
-    MINIHIVE_RETURN_IF_ERROR(
-        codec::DecompressUnits(codec, stored, &raw_, unit_size_));
+    MINIHIVE_RETURN_IF_ERROR(sections->ReadSection(file_start, stream.length,
+                                                   stream.crc, "stream",
+                                                   Event::kDataBytesRead,
+                                                   &raw_));
     ResetDecoders();
     return Status::OK();
   }
 
-  void InitPpd(dfs::ReadableFile* file, uint64_t file_start,
+  void InitPpd(SectionReader* sections, uint64_t file_start,
                const std::vector<uint64_t>* segment_ends,
                const std::vector<uint32_t>* segment_crcs,
-               const std::vector<GroupRun>* runs, const codec::Codec* codec,
-               uint64_t unit_size, int host, bool verify) {
+               const std::vector<GroupRun>* runs) {
     full_mode_ = false;
-    file_ = file;
+    sections_ = sections;
     file_start_ = file_start;
     seg_ends_ = segment_ends;
     seg_crcs_ = segment_crcs;
     runs_ = runs;
-    codec_ = codec;
-    unit_size_ = unit_size;
-    host_ = host;
-    verify_ = verify;
     run_valid_ = false;
   }
 
@@ -224,13 +378,8 @@ class StreamReader {
     std::string_view slice =
         std::string_view(run_buf_)
             .substr(seg_start - run_base_, seg_end - seg_start);
-    if (verify_ && seg_crcs_ != nullptr && g < seg_crcs_->size()) {
-      MINIHIVE_RETURN_IF_ERROR(
-          VerifyCrc(slice, (*seg_crcs_)[g], "stream segment"));
-    }
-    raw_.clear();
-    MINIHIVE_RETURN_IF_ERROR(
-        codec::DecompressUnits(codec_, slice, &raw_, unit_size_));
+    MINIHIVE_RETURN_IF_ERROR(sections_->DecodeSection(
+        slice, (*seg_crcs_)[g], "stream segment", &raw_));
     ResetDecoders();
     return Status::OK();
   }
@@ -310,12 +459,8 @@ class StreamReader {
     if (run == nullptr) return Status::Internal("group not in any run");
     uint64_t start = run->first == 0 ? 0 : (*seg_ends_)[run->first - 1];
     uint64_t end = (*seg_ends_)[run->last];
-    run_buf_.clear();
-    if (end > start) {
-      MINIHIVE_RETURN_IF_ERROR(
-          file_->ReadAt(file_start_ + start, end - start, &run_buf_, host_));
-      DataBytesRead()->Add(end - start);
-    }
+    MINIHIVE_RETURN_IF_ERROR(sections_->Fetch(
+        file_start_ + start, end - start, Event::kDataBytesRead, &run_buf_));
     run_base_ = start;
     run_first_ = run->first;
     run_last_ = run->last;
@@ -324,15 +469,11 @@ class StreamReader {
   }
 
   bool full_mode_ = true;
-  dfs::ReadableFile* file_ = nullptr;
+  SectionReader* sections_ = nullptr;
   uint64_t file_start_ = 0;
-  const codec::Codec* codec_ = nullptr;
-  uint64_t unit_size_ = 0;
-  int host_ = -1;
   const std::vector<uint64_t>* seg_ends_ = nullptr;
   const std::vector<uint32_t>* seg_crcs_ = nullptr;
   const std::vector<GroupRun>* runs_ = nullptr;
-  bool verify_ = false;
 
   std::string raw_;
   size_t raw_cursor_ = 0;
@@ -406,17 +547,15 @@ class OrcReader::Impl {
         file_(std::move(file)),
         options_(std::move(options)),
         generation_(file_->Generation()),
-        metrics_(options_.governor != nullptr ? options_.governor->metrics()
-                                              : nullptr) {
-    if (options_.use_metadata_cache) {
-      // Pin the manager for the reader's lifetime: the installing session
-      // can be destroyed while this reader still inserts/looks up.
-      cache_manager_ = fs_->cache_manager();
-      if (cache_manager_ != nullptr) {
-        mcache_ = cache_manager_->metadata_cache();
-      }
-    }
-  }
+        // Pin the manager for the reader's lifetime: the installing session
+        // can be destroyed while this reader still inserts/looks up.
+        cache_manager_(fs_->cache_manager()),
+        mcache_(cache_manager_ != nullptr ? cache_manager_->metadata_cache()
+                                          : nullptr),
+        events_(options_.governor != nullptr ? options_.governor->metrics()
+                                             : nullptr),
+        sections_(file_.get(), options_.reader_host,
+                  options_.verify_checksums, &events_) {}
 
   Status Open() {
     MINIHIVE_RETURN_IF_ERROR(ReadTail());
@@ -443,13 +582,12 @@ class OrcReader::Impl {
     uint64_t split_end = options_.split_length == 0
                              ? UINT64_MAX
                              : options_.split_offset + options_.split_length;
-    bool sarg_active = options_.use_index && options_.sarg != nullptr &&
-                       !options_.sarg->empty();
+    sarg_active_ = options_.sarg != nullptr && !options_.sarg->empty();
     // Late-materialization setup: pushed-down leaves that can be evaluated
     // row-by-row with exact engine semantics, restricted to projected
     // primitive columns (filter columns are always projected by the planner;
     // an unprojected column would force extra stream reads in row mode).
-    if (options_.enable_late_materialization && sarg_active) {
+    if (options_.enable_late_materialization && sarg_active_) {
       for (const LeafPredicate& leaf : options_.sarg->leaves()) {
         if (leaf.column < 0 ||
             static_cast<size_t>(leaf.column) >= root_.children.size()) {
@@ -480,6 +618,9 @@ class OrcReader::Impl {
         }
       }
     }
+    // Two-phase decode needs independently decodable groups (ppd mode) and
+    // at least one row-evaluable leaf; NextRow() keeps the eager path.
+    late_active_ = sarg_active_ && !row_leaves_.empty();
     // File-absolute first-row ordinal of every stripe, computed over ALL
     // stripes (not just this split's) so delete-bitmap ordinals line up no
     // matter how the file is split across tasks.
@@ -494,12 +635,9 @@ class OrcReader::Impl {
       if (stripe.offset < options_.split_offset || stripe.offset >= split_end) {
         continue;
       }
-      if (sarg_active &&
+      if (sarg_active_ &&
           options_.sarg->CanSkip(TopLevelStats(tail_->stripe_stats[s]))) {
-        ++stripes_skipped_;
-        telemetry::MetricsRegistry::Global()
-            .GetCounter("orc.reader.stripes_skipped")
-            ->Increment();
+        events_.Count(Event::kStripesSkipped);
         continue;
       }
       selected_stripes_.push_back(s);
@@ -508,7 +646,6 @@ class OrcReader::Impl {
   }
 
   const FileTail& tail() const { return *tail_; }
-  bool tail_cache_hit() const { return tail_cache_hit_; }
 
   Result<bool> NextRow(Row* row) {
     for (;;) {
@@ -571,16 +708,6 @@ class OrcReader::Impl {
     return true;
   }
 
-  uint64_t stripes_read() const { return stripes_read_; }
-  uint64_t stripes_skipped() const { return stripes_skipped_; }
-  uint64_t groups_read() const { return groups_read_; }
-  uint64_t groups_skipped() const { return groups_skipped_; }
-  uint64_t rows_late_skipped() const { return rows_late_skipped_; }
-  uint64_t lazy_decodes_avoided() const { return lazy_decodes_avoided_; }
-  uint64_t rows_deleted_skipped() const { return rows_deleted_skipped_; }
-
-  const std::vector<int>& projected() const { return projected_; }
-
  private:
   /// Key of one cached metadata object of this file incarnation. The tag
   /// separates entry kinds; `stripe_offset` is 0 for file-level entries.
@@ -592,44 +719,67 @@ class OrcReader::Impl {
         .Take();
   }
 
-  /// Metadata-cache lookup, charged to the query's scope.
-  cache::Cache::Handle* LookupMetadata(std::string_view key) {
-    cache::Cache::Handle* handle = mcache_->Lookup(key);
-    if (metrics_ != nullptr) {
-      (handle != nullptr ? metrics_->metadata_cache_hits
-                         : metrics_->metadata_cache_misses) += 1;
-    }
-    return handle;
-  }
-
-  /// Reads postscript, footer and metadata from the file tail — or serves
-  /// the whole parsed tail from the metadata cache, skipping every tail
-  /// read, CRC check, decompression, and deserialization.
-  Status ReadTail() {
+  /// The one metadata-cache protocol, shared by the file tail, stripe
+  /// footers and stripe indexes. A hit pins the cached parse in *pin and
+  /// counts `avoided`. A miss runs `parse` and admits its result only when
+  /// its checksums were verified and no injected fault touched its reads: a
+  /// cached entry is served without re-verification, so unverified or
+  /// tainted bytes must never seed it.
+  template <typename T, typename Parse>
+  Status LoadMetadata(std::string_view tag, uint64_t stripe_offset,
+                      Event avoided, cache::ScopedHandle* pin,
+                      std::shared_ptr<const T>* out, Parse parse) {
+    pin->reset();
+    std::string key;
     if (mcache_ != nullptr) {
-      std::string key = MetaKey("orc.tail", 0);
-      if (cache::Cache::Handle* handle = LookupMetadata(key)) {
-        // Pin for the reader's lifetime: the open file's metadata can't be
-        // evicted out from under a long scan (and the pin exercises the
-        // cache's pinned-entry protection under pressure).
-        tail_handle_.reset(mcache_, handle);
-        tail_ = cache::Cache::value<FileTail>(handle);
-        codec_ = codec::GetCodec(tail_->compression);
-        tail_cache_hit_ = true;
-        FooterParsesAvoided()->Increment();
+      key = MetaKey(tag, stripe_offset);
+      cache::Cache::Handle* handle = mcache_->Lookup(key);
+      events_.Count(handle != nullptr ? Event::kMetadataCacheHits
+                                      : Event::kMetadataCacheMisses);
+      if (handle != nullptr) {
+        pin->reset(mcache_, handle);
+        *out = cache::Cache::value<T>(handle);
+        events_.Count(avoided);
         return Status::OK();
       }
     }
     TaintWatch taint(fs_->fault_injector());
-    auto tail = std::make_shared<FileTail>();
+    auto parsed = std::make_shared<T>();
+    MINIHIVE_RETURN_IF_ERROR(parse(parsed.get()));
+    *out = parsed;
+    if (mcache_ != nullptr && options_.verify_checksums && !taint.tainted()) {
+      size_t charge = ChargeOf(*parsed) + key.size() + cache::kEntryOverhead;
+      if (cache::Cache::Handle* handle =
+              mcache_->Insert(key, std::move(parsed), charge)) {
+        pin->reset(mcache_, handle);
+      }
+    }
+    return Status::OK();
+  }
+
+  /// Loads the file tail (postscript, footer, metadata), or serves the
+  /// whole parsed tail from the metadata cache, skipping every tail read,
+  /// CRC check, decompression, and deserialization. The tail stays pinned
+  /// for the reader's lifetime, so a long scan's metadata can't be evicted.
+  Status ReadTail() {
+    MINIHIVE_RETURN_IF_ERROR(LoadMetadata<FileTail>(
+        "orc.tail", 0, Event::kFooterParsesAvoided, &tail_handle_, &tail_,
+        [this](FileTail* tail) { return ParseTail(tail); }));
+    // The tail is the first metadata a reader loads.
+    tail_cache_hit_ = events_[Event::kFooterParsesAvoided] > 0;
+    sections_.SetCodec(*tail_);
+    return Status::OK();
+  }
+
+  Status ParseTail(FileTail* tail) {
     uint64_t size = file_->Size();
     if (size < kOrcMagicLen + 2) return Status::Corruption("file too small");
     // Read a generous tail chunk to cover ps_len + postscript.
     uint64_t probe = std::min<uint64_t>(size, 256);
     std::string tail_bytes;
-    MINIHIVE_RETURN_IF_ERROR(file_->ReadAt(size - probe, probe, &tail_bytes,
-                                           options_.reader_host));
-    TailBytesRead()->Add(probe);
+    MINIHIVE_RETURN_IF_ERROR(sections_.Fetch(size - probe, probe,
+                                             Event::kTailBytesRead,
+                                             &tail_bytes));
     uint8_t ps_len = static_cast<uint8_t>(tail_bytes.back());
     if (ps_len + 1 > static_cast<int>(tail_bytes.size())) {
       return Status::Corruption("postscript larger than probe");
@@ -658,7 +808,7 @@ class OrcReader::Impl {
     if (magic != std::string_view(kOrcMagic, kOrcMagicLen)) {
       return Status::Corruption("bad ORC postscript magic");
     }
-    codec_ = codec::GetCodec(tail->compression);
+    sections_.SetCodec(*tail);
     // Guard each section length separately before summing: a corrupt varint
     // can be near 2^64, where the summed tail length would wrap around and
     // pass a naive `tail_length > size` check.
@@ -670,47 +820,19 @@ class OrcReader::Impl {
     if (tail->tail_length > size) return Status::Corruption("bad tail length");
 
     uint64_t footer_off = size - 1 - ps_len - footer_len;
-    std::string footer_stored;
-    MINIHIVE_RETURN_IF_ERROR(file_->ReadAt(footer_off, footer_len,
-                                           &footer_stored,
-                                           options_.reader_host));
-    TailBytesRead()->Add(footer_len);
-    if (options_.verify_checksums) {
-      MINIHIVE_RETURN_IF_ERROR(
-          VerifyCrc(footer_stored, tail->footer_crc, "file footer"));
-    }
-    std::string footer_raw;
-    MINIHIVE_RETURN_IF_ERROR(
-        codec::DecompressUnits(codec_, footer_stored, &footer_raw,
-                               tail->compression_unit));
-    MINIHIVE_RETURN_IF_ERROR(DeserializeFileFooter(footer_raw, tail.get()));
-
-    uint64_t metadata_off = footer_off - metadata_len;
-    std::string metadata_stored;
-    MINIHIVE_RETURN_IF_ERROR(file_->ReadAt(metadata_off, metadata_len,
-                                           &metadata_stored,
-                                           options_.reader_host));
-    TailBytesRead()->Add(metadata_len);
-    if (options_.verify_checksums) {
-      MINIHIVE_RETURN_IF_ERROR(
-          VerifyCrc(metadata_stored, tail->metadata_crc, "file metadata"));
-    }
-    std::string metadata_raw;
-    MINIHIVE_RETURN_IF_ERROR(
-        codec::DecompressUnits(codec_, metadata_stored, &metadata_raw,
-                               tail->compression_unit));
-    MINIHIVE_RETURN_IF_ERROR(DeserializeFileMetadata(metadata_raw, tail.get()));
-    tail_ = std::move(tail);
-
-    // Populate only from a checksum-verified, fault-free parse: a cached
-    // tail is served without re-verification, so unverified or tainted
-    // bytes must never seed it.
-    if (mcache_ != nullptr && options_.verify_checksums && !taint.tainted()) {
-      std::string key = MetaKey("orc.tail", 0);
-      size_t charge = ChargeOf(*tail_) + key.size() + cache::kEntryOverhead;
-      if (cache::Cache::Handle* handle = mcache_->Insert(key, tail_, charge)) {
-        tail_handle_.reset(mcache_, handle);
-      }
+    std::string raw;
+    MINIHIVE_RETURN_IF_ERROR(sections_.ReadSection(
+        footer_off, footer_len, tail->footer_crc, "file footer",
+        Event::kTailBytesRead, &raw));
+    MINIHIVE_RETURN_IF_ERROR(DeserializeFileFooter(raw, tail));
+    MINIHIVE_RETURN_IF_ERROR(sections_.ReadSection(
+        footer_off - metadata_len, metadata_len, tail->metadata_crc,
+        "file metadata", Event::kTailBytesRead, &raw));
+    MINIHIVE_RETURN_IF_ERROR(DeserializeFileMetadata(raw, tail));
+    // SARG pruning indexes stripe statistics by stripe number.
+    if (tail->stripe_stats.size() != tail->stripes.size()) {
+      return Status::Corruption(
+          "ORC file metadata does not match the stripe count");
     }
     return Status::OK();
   }
@@ -755,108 +877,40 @@ class OrcReader::Impl {
 
   Status LoadStripe(size_t stripe_index) {
     const StripeInformation& info = tail_->stripes[stripe_index];
-    ++stripes_read_;
-    telemetry::MetricsRegistry::Global()
-        .GetCounter("orc.reader.stripes_read")
-        ->Increment();
-    // Stripe footer: cached parse, or fetch + verify + decompress + parse.
-    sf_handle_.reset();
-    stripe_footer_ = nullptr;
-    if (mcache_ != nullptr) {
-      std::string key = MetaKey("orc.sf", info.offset);
-      if (cache::Cache::Handle* handle = LookupMetadata(key)) {
-        sf_handle_.reset(mcache_, handle);
-        stripe_footer_ = cache::Cache::value<StripeFooter>(handle);
-        FooterParsesAvoided()->Increment();
-      }
-    }
-    if (stripe_footer_ == nullptr) {
-      TaintWatch taint(fs_->fault_injector());
-      std::string footer_stored;
-      MINIHIVE_RETURN_IF_ERROR(
-          file_->ReadAt(info.offset + info.index_length + info.data_length,
-                        info.footer_length, &footer_stored,
-                        options_.reader_host));
-      TailBytesRead()->Add(info.footer_length);
-      if (options_.verify_checksums) {
-        MINIHIVE_RETURN_IF_ERROR(
-            VerifyCrc(footer_stored, info.footer_crc, "stripe footer"));
-      }
-      std::string footer_raw;
-      MINIHIVE_RETURN_IF_ERROR(
-          codec::DecompressUnits(codec_, footer_stored, &footer_raw,
-                                 tail_->compression_unit));
-      auto footer = std::make_shared<StripeFooter>();
-      MINIHIVE_RETURN_IF_ERROR(
-          StripeFooter::Deserialize(footer_raw, footer.get()));
-      stripe_footer_ = std::move(footer);
-      if (mcache_ != nullptr && options_.verify_checksums &&
-          !taint.tainted()) {
-        std::string key = MetaKey("orc.sf", info.offset);
-        size_t charge =
-            ChargeOf(*stripe_footer_) + key.size() + cache::kEntryOverhead;
-        if (cache::Cache::Handle* handle =
-                mcache_->Insert(key, stripe_footer_, charge)) {
-          sf_handle_.reset(mcache_, handle);
-        }
-      }
-    }
-
-    bool sarg_active = options_.use_index && options_.sarg != nullptr &&
-                       !options_.sarg->empty();
-    ppd_mode_ = sarg_active;
-    // Two-phase decode needs independently decodable groups (ppd mode) and
-    // at least one row-evaluable leaf; NextRow() keeps the eager path.
-    late_active_ = ppd_mode_ && !row_leaves_.empty();
+    events_.Count(Event::kStripesRead);
+    std::vector<ColumnNode*> nodes;
+    root_.Flatten(&nodes);
+    MINIHIVE_RETURN_IF_ERROR(LoadMetadata<StripeFooter>(
+        "orc.sf", info.offset, Event::kFooterParsesAvoided, &sf_handle_,
+        &stripe_footer_, [&](StripeFooter* footer) {
+          std::string raw;
+          MINIHIVE_RETURN_IF_ERROR(sections_.ReadSection(
+              info.offset + info.index_length + info.data_length,
+              info.footer_length, info.footer_crc, "stripe footer",
+              Event::kTailBytesRead, &raw));
+          MINIHIVE_RETURN_IF_ERROR(StripeFooter::Deserialize(raw, footer));
+          return CheckStripeFooter(*footer, nodes.size());
+        }));
     group_sel_active_ = false;
 
     // Group selection.
     selected_groups_.clear();
     group_runs_.clear();
-    si_handle_.reset();
-    stripe_index_ = nullptr;
-    if (sarg_active) {
-      // Row index: position pointers + per-group statistics. Same cache
-      // protocol as the stripe footer — a hit skips the index read, its CRC
-      // pass, and the whole position-pointer/statistics decode.
-      if (mcache_ != nullptr) {
-        std::string key = MetaKey("orc.si", info.offset);
-        if (cache::Cache::Handle* handle = LookupMetadata(key)) {
-          si_handle_.reset(mcache_, handle);
-          stripe_index_ = cache::Cache::value<StripeIndex>(handle);
-          IndexDecodesAvoided()->Increment();
-        }
-      }
-      if (stripe_index_ == nullptr) {
-        TaintWatch taint(fs_->fault_injector());
-        std::string index_stored;
-        MINIHIVE_RETURN_IF_ERROR(file_->ReadAt(info.offset, info.index_length,
-                                               &index_stored,
-                                               options_.reader_host));
-        IndexBytesRead()->Add(info.index_length);
-        if (options_.verify_checksums) {
-          MINIHIVE_RETURN_IF_ERROR(
-              VerifyCrc(index_stored, info.index_crc, "stripe index"));
-        }
-        std::string index_raw;
-        MINIHIVE_RETURN_IF_ERROR(
-            codec::DecompressUnits(codec_, index_stored, &index_raw,
-                                   tail_->compression_unit));
-        auto index = std::make_shared<StripeIndex>();
-        MINIHIVE_RETURN_IF_ERROR(
-            StripeIndex::Deserialize(index_raw, index.get()));
-        stripe_index_ = std::move(index);
-        if (mcache_ != nullptr && options_.verify_checksums &&
-            !taint.tainted()) {
-          std::string key = MetaKey("orc.si", info.offset);
-          size_t charge =
-              ChargeOf(*stripe_index_) + key.size() + cache::kEntryOverhead;
-          if (cache::Cache::Handle* handle =
-                  mcache_->Insert(key, stripe_index_, charge)) {
-            si_handle_.reset(mcache_, handle);
-          }
-        }
-      }
+    if (sarg_active_) {
+      // Row index: position pointers + per-group statistics. A cache hit
+      // skips the index read, its CRC pass, and the whole
+      // position-pointer/statistics decode.
+      MINIHIVE_RETURN_IF_ERROR(LoadMetadata<StripeIndex>(
+          "orc.si", info.offset, Event::kIndexDecodesAvoided, &si_handle_,
+          &stripe_index_, [&](StripeIndex* index) {
+            std::string raw;
+            MINIHIVE_RETURN_IF_ERROR(sections_.ReadSection(
+                info.offset, info.index_length, info.index_crc,
+                "stripe index", Event::kIndexBytesRead, &raw));
+            MINIHIVE_RETURN_IF_ERROR(StripeIndex::Deserialize(raw, index));
+            return CheckStripeIndex(*index, *stripe_footer_);
+          }));
+      uint64_t skipped = 0;
       for (uint32_t g = 0; g < stripe_footer_->num_groups; ++g) {
         std::vector<ColumnStatistics> field_stats;
         for (const TypePtr& child : tail_->schema->children()) {
@@ -864,14 +918,12 @@ class OrcReader::Impl {
               stripe_index_->group_stats[child->column_id()][g]);
         }
         if (options_.sarg->CanSkip(field_stats)) {
-          ++groups_skipped_;
-          telemetry::MetricsRegistry::Global()
-              .GetCounter("orc.reader.groups_skipped")
-              ->Increment();
+          ++skipped;
         } else {
           selected_groups_.push_back(g);
         }
       }
+      events_.Count(Event::kGroupsSkipped, skipped);
       // Maximal consecutive runs for coalesced fetching.
       for (size_t i = 0; i < selected_groups_.size();) {
         size_t j = i;
@@ -887,14 +939,9 @@ class OrcReader::Impl {
         selected_groups_.push_back(g);
       }
     }
-    groups_read_ += selected_groups_.size();
-    telemetry::MetricsRegistry::Global()
-        .GetCounter("orc.reader.groups_read")
-        ->Add(selected_groups_.size());
+    events_.Count(Event::kGroupsRead, selected_groups_.size());
 
     // Wire up stream readers for needed columns.
-    std::vector<ColumnNode*> nodes;
-    root_.Flatten(&nodes);
     for (ColumnNode* node : nodes) {
       node->present_stream.reset();
       node->data_stream.reset();
@@ -911,24 +958,12 @@ class OrcReader::Impl {
       if (!node->needed) continue;
       node->encoding = stripe_footer_->encodings[s.column];
       auto stream = std::make_unique<StreamReader>();
-      if (IsStripeScoped(s.kind)) {
-        // Dictionary streams are always read whole.
-        MINIHIVE_RETURN_IF_ERROR(stream->InitFull(
-            file_.get(), start, s.length, codec_, tail_->compression_unit,
-            options_.reader_host, s.crc, options_.verify_checksums));
-      } else if (ppd_mode_) {
-        const std::vector<uint32_t>* crcs =
-            si < stripe_index_->segment_crcs.size()
-                ? &stripe_index_->segment_crcs[si]
-                : nullptr;
-        stream->InitPpd(file_.get(), start, &stripe_index_->segment_ends[si],
-                        crcs, &group_runs_, codec_, tail_->compression_unit,
-                        options_.reader_host,
-                        options_.verify_checksums);
+      // Dictionary streams are always read whole.
+      if (sarg_active_ && !IsStripeScoped(s.kind)) {
+        stream->InitPpd(&sections_, start, &stripe_index_->segment_ends[si],
+                        &stripe_index_->segment_crcs[si], &group_runs_);
       } else {
-        MINIHIVE_RETURN_IF_ERROR(stream->InitFull(
-            file_.get(), start, s.length, codec_, tail_->compression_unit,
-            options_.reader_host, s.crc, options_.verify_checksums));
+        MINIHIVE_RETURN_IF_ERROR(stream->InitFull(&sections_, start, s));
       }
       switch (s.kind) {
         case StreamKind::kPresent:
@@ -993,6 +1028,7 @@ class OrcReader::Impl {
   void ApplyDeleteBitmap(uint64_t instances) {
     const DeleteBitmap* bitmap = options_.delete_bitmap;
     if (bitmap == nullptr || bitmap->empty()) return;
+    uint64_t dropped = 0;
     for (uint64_t i = 0; i < instances; ++i) {
       if (!bitmap->IsDeleted(group_abs_base_ + i)) continue;
       if (!group_sel_active_) {
@@ -1001,9 +1037,10 @@ class OrcReader::Impl {
       }
       if (group_sel_[i] != 0) {
         group_sel_[i] = 0;
-        ++rows_deleted_skipped_;
+        ++dropped;
       }
     }
+    events_.Count(Event::kRowsDeletedSkipped, dropped);
   }
 
   Status DecodeGroup(uint32_t g) {
@@ -1057,19 +1094,11 @@ class OrcReader::Impl {
     uint64_t survivors = 0;
     for (uint64_t i = 0; i < instances; ++i) survivors += group_sel_[i];
     const uint64_t dead = instances - survivors;
-    if (dead > 0) {
-      rows_late_skipped_ += dead;
-      RowsLateSkippedCounter()->Add(dead);
-      if (metrics_ != nullptr) metrics_->rows_late_skipped += dead;
-    }
+    events_.Count(Event::kRowsLateSkipped, dead);
     if (survivors == 0) {
       // The group is fully dead: skip every lazy decode and hand control
       // back to EnsureGroup (zero rows => it advances to the next group).
-      lazy_decodes_avoided_ += lazy_nodes_.size();
-      LazyDecodesAvoidedCounter()->Add(lazy_nodes_.size());
-      if (metrics_ != nullptr) {
-        metrics_->lazy_decodes_avoided += lazy_nodes_.size();
-      }
+      events_.Count(Event::kLazyDecodesAvoided, lazy_nodes_.size());
       group_sel_active_ = false;
       current_group_rows_ = 0;
       rows_in_group_cursor_ = 0;
@@ -1384,12 +1413,13 @@ class OrcReader::Impl {
   std::shared_ptr<dfs::ReadableFile> file_;
   OrcReadOptions options_;
   // (path_, generation_) names this exact file incarnation — the metadata
-  // cache key. The cache pointer is null when the session has none or the
-  // options turned it off; all cache logic hides behind that test.
+  // cache key. The cache pointer is null when the filesystem has no cache
+  // installed; all cache logic hides behind that test.
   uint64_t generation_ = 0;
-  QueryMetrics* metrics_ = nullptr;  // The governor's query scope, if any.
   std::shared_ptr<cache::CacheManager> cache_manager_;  // Keeps mcache_ alive.
   cache::Cache* mcache_ = nullptr;
+  EventCounts events_;
+  SectionReader sections_;
   bool tail_cache_hit_ = false;
   // Pins for the currently-used cached objects (tail for the reader's whole
   // life, footer/index for the current stripe). The shared_ptrs below keep
@@ -1398,7 +1428,6 @@ class OrcReader::Impl {
   cache::ScopedHandle sf_handle_;
   cache::ScopedHandle si_handle_;
   std::shared_ptr<const FileTail> tail_;
-  const codec::Codec* codec_ = nullptr;
   ColumnNode root_;
   std::vector<int> projected_;
 
@@ -1411,7 +1440,7 @@ class OrcReader::Impl {
   uint64_t group_abs_base_ = 0;
   size_t stripe_iter_ = 0;
   bool stripe_loaded_ = false;
-  bool ppd_mode_ = false;
+  bool sarg_active_ = false;  // PPD: read indexes, skip stripes and groups.
   std::shared_ptr<const StripeFooter> stripe_footer_;
   std::shared_ptr<const StripeIndex> stripe_index_;
   std::vector<uint32_t> selected_groups_;
@@ -1438,14 +1467,6 @@ class OrcReader::Impl {
   std::vector<uint8_t> group_sel_;  // Per-row phase-1 verdicts (group-rel).
   std::vector<uint8_t> leaf_scratch_;
   std::vector<std::string_view> str_views_;
-
-  uint64_t stripes_read_ = 0;
-  uint64_t stripes_skipped_ = 0;
-  uint64_t groups_read_ = 0;
-  uint64_t groups_skipped_ = 0;
-  uint64_t rows_late_skipped_ = 0;
-  uint64_t lazy_decodes_avoided_ = 0;
-  uint64_t rows_deleted_skipped_ = 0;
 };
 
 OrcReader::OrcReader(std::unique_ptr<Impl> impl) : impl_(std::move(impl)) {}
@@ -1476,21 +1497,27 @@ Result<bool> OrcReader::NextBatch(vec::VectorizedRowBatch* batch) {
   return impl_->NextBatch(batch);
 }
 
-uint64_t OrcReader::stripes_read() const { return impl_->stripes_read(); }
-uint64_t OrcReader::stripes_skipped() const {
-  return impl_->stripes_skipped();
+uint64_t OrcReader::stripes_read() const {
+  return impl_->events_[Event::kStripesRead];
 }
-uint64_t OrcReader::groups_read() const { return impl_->groups_read(); }
-uint64_t OrcReader::groups_skipped() const { return impl_->groups_skipped(); }
+uint64_t OrcReader::stripes_skipped() const {
+  return impl_->events_[Event::kStripesSkipped];
+}
+uint64_t OrcReader::groups_read() const {
+  return impl_->events_[Event::kGroupsRead];
+}
+uint64_t OrcReader::groups_skipped() const {
+  return impl_->events_[Event::kGroupsSkipped];
+}
 uint64_t OrcReader::rows_late_skipped() const {
-  return impl_->rows_late_skipped();
+  return impl_->events_[Event::kRowsLateSkipped];
 }
 uint64_t OrcReader::lazy_decodes_avoided() const {
-  return impl_->lazy_decodes_avoided();
+  return impl_->events_[Event::kLazyDecodesAvoided];
 }
 uint64_t OrcReader::rows_deleted_skipped() const {
-  return impl_->rows_deleted_skipped();
+  return impl_->events_[Event::kRowsDeletedSkipped];
 }
-bool OrcReader::tail_cache_hit() const { return impl_->tail_cache_hit(); }
+bool OrcReader::tail_cache_hit() const { return impl_->tail_cache_hit_; }
 
 }  // namespace minihive::orc

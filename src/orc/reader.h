@@ -21,11 +21,9 @@ struct OrcReadOptions {
   /// Top-level field indexes to materialize; empty = all fields.
   std::vector<int> projected_fields;
   /// Conjunctive predicate pushed down to the reader; evaluated against
-  /// stripe- and index-group-level statistics.
+  /// stripe- and index-group-level statistics. Null or empty = the paper's
+  /// "No PPD" configuration: no index data is read and whole stripes scan.
   const SearchArgument* sarg = nullptr;
-  /// When false, the reader ignores indexes entirely (the paper's "No PPD"
-  /// configuration): it never reads index data and scans whole stripes.
-  bool use_index = true;
   /// Stripes whose starting offset falls in [split_offset,
   /// split_offset+split_length) belong to this reader; 0 length = all.
   uint64_t split_offset = 0;
@@ -37,14 +35,8 @@ struct OrcReadOptions {
   /// Verify CRC-32 checksums on every section and stream read. Corruption
   /// surfaces as a kCorruption Status naming the damaged piece; untouched
   /// stripes remain readable. On by default: the CRC cost is tiny next to
-  /// decompression.
+  /// decompression. Unverified parses never populate the metadata cache.
   bool verify_checksums = true;
-  /// Serve parsed tails / stripe footers / stripe indexes from (and
-  /// populate) the session metadata cache, when the filesystem has one
-  /// installed. Entries are keyed by (path, generation), so a rewritten or
-  /// renamed file can never be served stale metadata. Only checksum-verified
-  /// parses populate the cache.
-  bool use_metadata_cache = true;
   /// Task lifecycle governor, checked before decoding each index group so a
   /// cancelled or out-of-time query stops a scan mid-stripe. The reader
   /// charges its reads, metadata-cache lookups and late-materialization
@@ -69,6 +61,12 @@ struct OrcReadOptions {
 /// via NextBatch() (the paper's vectorized reader, §6.5 — primitive columns
 /// only). Stripes and index groups that cannot satisfy the pushed-down
 /// predicate are skipped without reading their bytes from the DFS.
+///
+/// Parsed tails, stripe footers and stripe indexes are served from (and
+/// populate) the filesystem's metadata cache whenever one is installed.
+/// Entries are keyed by (path, generation), so a rewritten or renamed file
+/// can never be served stale metadata; only checksum-verified, fault-free
+/// parses populate the cache.
 class OrcReader {
  public:
   static Result<std::unique_ptr<OrcReader>> Open(

@@ -221,7 +221,6 @@ Result<QueryResult> Driver::Run(std::string_view sql, bool execute) {
 
 void Driver::CleanupTemps(const std::string& scratch,
                           const std::vector<std::string>& temp_dirs) {
-  if (options_.keep_temps) return;
   // Best-effort: on the error paths some files were already aborted away.
   for (const std::string& path : fs_->List(scratch + "/")) {
     fs_->Delete(path).ok();
@@ -241,13 +240,6 @@ Result<QueryResult> Driver::RunOnce(std::string_view sql, bool execute,
   Stopwatch watch;
   bool profiling = explain_profile || options_.enable_profiling;
   MINIHIVE_RETURN_IF_ERROR(query_ctx.CheckAlive());
-  // Session-level kernel dispatch: both arms are byte-identical, so a
-  // mid-session flip never changes results, only the instruction mix.
-  // Only write the process-wide flag when it actually changes — concurrent
-  // drivers with the same setting must not ping the cache line per query.
-  if (simd::Enabled() != options_.enable_simd) {
-    simd::SetEnabled(options_.enable_simd);
-  }
   // Process-wide id: several Driver instances may share one DFS.
   static std::atomic<int> global_query_counter{0};
   int query_id = global_query_counter.fetch_add(1);

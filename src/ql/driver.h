@@ -36,10 +36,6 @@ struct DriverOptions {
   /// groups with surviving rows. Needs predicate_pushdown + vectorized
   /// execution to have any effect.
   bool enable_late_materialization = true;
-  /// Runtime-dispatched AVX2 kernels for vectorized comparisons,
-  /// arithmetic, and hashing (scalar fallback off-AVX2 hardware or when
-  /// off). Results are byte-identical either way.
-  bool enable_simd = true;
   /// §4.2: answer simple aggregations over unfiltered ORC tables directly
   /// from file statistics (no scan, no MapReduce job).
   bool stats_aggregation = true;
@@ -91,8 +87,6 @@ struct DriverOptions {
   /// 0 disables. Typically a few percent of the block cache is plenty —
   /// metadata is small but expensive to re-parse and re-verify.
   uint64_t metadata_cache_bytes = 16ULL * 1024 * 1024;
-  /// Keep intermediate files after the query (debugging).
-  bool keep_temps = false;
   /// Collect a trace-span profile (driver phases, per-job spans and task
   /// attempts, per-operator row counts) for every query. EXPLAIN PROFILE
   /// turns this on for its one query regardless of the setting.

@@ -62,6 +62,39 @@ bool PartitionPrunes(const std::vector<int>& part_idx, const TableFile& file,
   return false;
 }
 
+/// Resolves a table's input files. A managed table's come from one
+/// snapshot (files plus, under merge-on-read, their delete bitmaps), minus
+/// the files `sarg` prunes by partition value; an unmanaged table's come
+/// from the catalog. Returns the number of files pruned.
+uint64_t ResolveTableFiles(const Catalog& catalog, const TableDesc& table,
+                           const orc::SearchArgument* sarg,
+                           bool apply_delete_bitmaps,
+                           std::vector<std::string>* paths,
+                           DeleteBitmapMap* bitmaps) {
+  if (!table.managed()) {
+    *paths = catalog.TableFiles(table);
+    return 0;
+  }
+  // Snapshot isolation: capture the manifest (files + bitmaps) once;
+  // concurrent INSERT/DELETE/compaction commits cannot perturb this job's
+  // input set. Partition-pruned files never reach the splitter.
+  std::shared_ptr<const TableSnapshot> snapshot = catalog.Snapshot(table);
+  const std::vector<int> part_idx = table.PartitionIndexes();
+  uint64_t pruned = 0;
+  for (const TableFile& file : snapshot->files) {
+    if (PartitionPrunes(part_idx, file, sarg)) {
+      ++pruned;
+      continue;
+    }
+    paths->push_back(file.path);
+    if (apply_delete_bitmaps && file.delete_bitmap != nullptr &&
+        !file.delete_bitmap->empty()) {
+      (*bitmaps)[file.path] = file.delete_bitmap;
+    }
+  }
+  return pruned;
+}
+
 /// Collects the MapJoin descriptors of a map region (TS .. RS/FS).
 void CollectMapJoins(const OpDescPtr& root, std::vector<const OpDesc*>* out) {
   std::vector<const OpDesc*> stack = {root.get()};
@@ -95,13 +128,12 @@ class RowMapTask : public mr::MapTask {
   RowMapTask(dfs::FileSystem* fs, const std::vector<SourceRuntime>* sources,
              const std::unordered_map<int, std::shared_ptr<exec::MapJoinTables>>*
                  mapjoin_tables,
-             bool vectorized, bool use_metadata_cache,
-             bool enable_late_materialization, exec::PipelineProfile* profile)
+             bool vectorized, bool enable_late_materialization,
+             exec::PipelineProfile* profile)
       : fs_(fs),
         sources_(sources),
         mapjoin_tables_(mapjoin_tables),
         vectorized_(vectorized),
-        use_metadata_cache_(use_metadata_cache),
         enable_late_materialization_(enable_late_materialization),
         profile_(profile) {}
 
@@ -123,7 +155,6 @@ class RowMapTask : public mr::MapTask {
     ctx.profile = profile_;
     ctx.counters = attempt_counters();
     ctx.governor = governor();
-    ctx.use_metadata_cache = use_metadata_cache_;
     ctx.enable_late_materialization = enable_late_materialization_;
     ctx.delete_bitmaps = &source.delete_bitmaps;
 
@@ -152,8 +183,6 @@ class RowMapTask : public mr::MapTask {
     read_options.split_length = split.length;
     read_options.reader_host = split.locality_host;
     read_options.governor = governor();
-    read_options.use_metadata_cache = use_metadata_cache_;
-    read_options.enable_late_materialization = enable_late_materialization_;
     read_options.delete_bitmap =
         FindDeleteBitmap(&source.delete_bitmaps, split.path);
     MINIHIVE_ASSIGN_OR_RETURN(
@@ -182,7 +211,6 @@ class RowMapTask : public mr::MapTask {
   const std::unordered_map<int, std::shared_ptr<exec::MapJoinTables>>*
       mapjoin_tables_;
   bool vectorized_;
-  bool use_metadata_cache_;
   bool enable_late_materialization_;
   exec::PipelineProfile* profile_;
 };
@@ -292,18 +320,7 @@ Status PlanExecutor::Run(const CompiledPlan& plan, mr::JobCounters* totals,
     MINIHIVE_RETURN_IF_ERROR(job_status);
     counters.AccumulateInto(totals);
     if (reports != nullptr) {
-      JobReport report;
-      report.name = job.name;
-      report.elapsed_millis = watch.ElapsedMillis();
-      report.map_tasks = counters.map_tasks;
-      report.reduce_tasks = counters.reduce_tasks;
-      report.map_task_failures = counters.map_task_failures.load();
-      report.reduce_task_failures = counters.reduce_task_failures.load();
-      report.retried_task_millis = counters.retried_task_millis();
-      report.tasks_timed_out = counters.tasks_timed_out.load();
-      report.local_task_failures = counters.local_task_failures.load();
-      report.local_task_millis = counters.local_task_millis();
-      reports->push_back(report);
+      reports->push_back({job.name, watch.ElapsedMillis(), counters});
     }
   }
   return Status::OK();
@@ -328,32 +345,14 @@ Status PlanExecutor::RunJob(const MapRedJob& job, mr::JobCounters* counters,
           catalog_->GetTable(map_source.root->table_name));
       source.format = table->format;
       source.schema = table->schema;
-      if (table->managed()) {
-        // Snapshot isolation: capture the manifest (files + bitmaps) once;
-        // concurrent INSERT/DELETE/compaction commits cannot perturb this
-        // job's input set. Partition-pruned files never reach the splitter.
-        std::shared_ptr<const TableSnapshot> snapshot =
-            catalog_->Snapshot(*table);
-        const std::vector<int> part_idx = table->PartitionIndexes();
-        uint64_t pruned = 0;
-        for (const TableFile& file : snapshot->files) {
-          if (PartitionPrunes(part_idx, file, map_source.root->sarg.get())) {
-            ++pruned;
-            continue;
-          }
-          source.paths.push_back(file.path);
-          if (options_.apply_delete_bitmaps && file.delete_bitmap != nullptr &&
-              !file.delete_bitmap->empty()) {
-            source.delete_bitmaps[file.path] = file.delete_bitmap;
-          }
-        }
-        if (pruned > 0) {
-          telemetry::MetricsRegistry::Global()
-              .GetCounter("ql.partition_files_pruned")
-              ->Add(pruned);
-        }
-      } else {
-        source.paths = catalog_->TableFiles(*table);
+      uint64_t pruned = ResolveTableFiles(
+          *catalog_, *table, map_source.root->sarg.get(),
+          options_.apply_delete_bitmaps, &source.paths,
+          &source.delete_bitmaps);
+      if (pruned > 0) {
+        telemetry::MetricsRegistry::Global()
+            .GetCounter("ql.partition_files_pruned")
+            ->Add(pruned);
       }
     }
     sources->push_back(std::move(source));
@@ -369,19 +368,9 @@ Status PlanExecutor::RunJob(const MapRedJob& job, mr::JobCounters* counters,
     exec::SmallTableSource source;
     source.format = table->format;
     source.schema = table->schema;
-    if (table->managed()) {
-      std::shared_ptr<const TableSnapshot> snapshot =
-          catalog_->Snapshot(*table);
-      for (const TableFile& file : snapshot->files) {
-        source.paths.push_back(file.path);
-        if (options_.apply_delete_bitmaps && file.delete_bitmap != nullptr &&
-            !file.delete_bitmap->empty()) {
-          source.delete_bitmaps[file.path] = file.delete_bitmap;
-        }
-      }
-    } else {
-      source.paths = catalog_->TableFiles(*table);
-    }
+    ResolveTableFiles(*catalog_, *table, /*sarg=*/nullptr,
+                      options_.apply_delete_bitmaps, &source.paths,
+                      &source.delete_bitmaps);
     return source;
   };
   std::vector<const OpDesc*> mapjoins;
@@ -462,14 +451,13 @@ Status PlanExecutor::RunJob(const MapRedJob& job, mr::JobCounters* counters,
   if (options_.profile) config.parent_span = options_.query_span;
 
   bool vectorized = options_.vectorized;
-  bool use_metadata_cache = options_.use_metadata_cache;
   bool late_materialization = options_.enable_late_materialization;
   dfs::FileSystem* fs = fs_;
   config.map_factory = [fs, sources, mapjoin_tables, vectorized,
-                        use_metadata_cache, late_materialization, profile]() {
-    return std::make_unique<RowMapTask>(
-        fs, sources.get(), mapjoin_tables.get(), vectorized,
-        use_metadata_cache, late_materialization, profile);
+                        late_materialization, profile]() {
+    return std::make_unique<RowMapTask>(fs, sources.get(),
+                                        mapjoin_tables.get(), vectorized,
+                                        late_materialization, profile);
   };
   if (job.num_reducers > 0) {
     const OpDesc* reduce_root = job.reduce_root.get();

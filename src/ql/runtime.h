@@ -45,8 +45,6 @@ struct ExecutionOptions {
   /// failure), which the driver turns into a reduce-join fallback.
   /// 0 = unlimited.
   uint64_t mapjoin_memory_budget_bytes = 0;
-  /// Let scan tasks use the session ORC metadata cache.
-  bool use_metadata_cache = true;
   /// Two-phase late-materialized vectorized ORC scans.
   bool enable_late_materialization = true;
   /// Merge-on-read: apply managed tables' delete bitmaps inside scans. Off
@@ -63,23 +61,12 @@ struct ExecutionOptions {
   mr::DispatchCoordinator* dispatcher = nullptr;
 };
 
-/// Per-job timing, for the benches that report per-plan behaviour.
+/// Per-job timing and counters, for the benches that report per-plan
+/// behaviour.
 struct JobReport {
   std::string name;
   double elapsed_millis = 0;
-  int map_tasks = 0;
-  int reduce_tasks = 0;
-  /// Failed attempts the job recovered from (or died of) and the wall time
-  /// those attempts burnt.
-  uint64_t map_task_failures = 0;
-  uint64_t reduce_task_failures = 0;
-  double retried_task_millis = 0;
-  /// Attempts cooperatively killed for exceeding task_timeout_millis.
-  uint64_t tasks_timed_out = 0;
-  /// Map-join local task: failed build attempts and total build wall time
-  /// (all attempts, including the successful one).
-  uint64_t local_task_failures = 0;
-  double local_task_millis = 0;
+  mr::JobCounters counters;
 };
 
 /// Executes a compiled plan job-by-job (respecting dependencies) on the

@@ -144,31 +144,6 @@ __attribute__((target("avx2"))) inline void StoreMask4(__m256i eq,
   mask[3] = (bits >> 3) & 1;
 }
 
-__attribute__((target("avx2"))) void CompareMaskF64Avx2(Cmp op,
-                                                        const double* in,
-                                                        double scalar, int n,
-                                                        uint8_t* mask) {
-  const __m256d s = _mm256_set1_pd(scalar);
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256d v = _mm256_loadu_pd(in + i);
-    __m256d r;
-    switch (op) {
-      // Ordered-quiet for everything except Ne, which must be true for NaN
-      // operands to match scalar `!=`.
-      case Cmp::kEq: r = _mm256_cmp_pd(v, s, _CMP_EQ_OQ); break;
-      case Cmp::kNe: r = _mm256_cmp_pd(v, s, _CMP_NEQ_UQ); break;
-      case Cmp::kLt: r = _mm256_cmp_pd(v, s, _CMP_LT_OQ); break;
-      case Cmp::kLe: r = _mm256_cmp_pd(v, s, _CMP_LE_OQ); break;
-      case Cmp::kGt: r = _mm256_cmp_pd(v, s, _CMP_GT_OQ); break;
-      case Cmp::kGe: r = _mm256_cmp_pd(v, s, _CMP_GE_OQ); break;
-      default: r = _mm256_setzero_pd(); break;
-    }
-    StoreMask4(_mm256_castpd_si256(r), mask + i);
-  }
-  if (i < n) CompareMaskScalar<double>(op, in + i, scalar, n - i, mask + i);
-}
-
 __attribute__((target("avx2"))) void BetweenMaskI64Avx2(const int64_t* in,
                                                         int64_t lo, int64_t hi,
                                                         int n, uint8_t* mask) {
@@ -353,12 +328,6 @@ void CompareMaskI64(Cmp op, const int64_t* in, int64_t scalar, int n,
 
 void CompareMaskF64(Cmp op, const double* in, double scalar, int n,
                     uint8_t* mask) {
-#ifdef MINIHIVE_SIMD_AVX2
-  if (UsingAvx2()) {
-    CompareMaskF64Avx2(op, in, scalar, n, mask);
-    return;
-  }
-#endif
   CompareMaskScalar<double>(op, in, scalar, n, mask);
 }
 

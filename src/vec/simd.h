@@ -11,8 +11,9 @@
 ///  - Every kernel has a scalar implementation; the compare, between and
 ///    arithmetic kernels also have (on x86-64) an AVX2 implementation
 ///    compiled with a per-function target attribute, so the binary runs on
-///    any CPU and upgrades itself at runtime via cpuid. HashBytes and
-///    CompareMaskI64 are scalar only: their AVX2 arms lost (EXPERIMENTS.md).
+///    any CPU and upgrades itself at runtime via cpuid. HashBytes,
+///    CompareMaskI64 and CompareMaskF64 are scalar only: their AVX2 arms
+///    lost or missed the 1.2x bar (EXPERIMENTS.md).
 ///  - `SetEnabled(false)` forces the scalar arm process-wide (tests and
 ///    benches toggle it to diff the two arms); `MINIHIVE_DISABLE_SIMD`
 ///    compiles the AVX2 arm out entirely (the CI scalar-fallback leg).

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/crc32.h"
 #include "common/random.h"
 #include "orc/reader.h"
 #include "orc/writer.h"
@@ -191,6 +192,246 @@ TEST(OrcCorruptionTest, CompressionUnitOutOfBoundsIsRejected) {
     ASSERT_FALSE(reader.ok()) << "unit " << unit;
     EXPECT_TRUE(reader.status().IsCorruption())
         << reader.status().ToString();
+  }
+}
+
+/// A one-stripe file with its stripe footer and index parsed, so a test can
+/// edit them and write the file back with every checksum recomputed: only
+/// the reader's consistency checks can then reject the edit.
+constexpr char kSectionsPath[] = "/orc/sections";
+
+struct StripeSections {
+  std::string file;
+  FileTail tail;
+  StripeFooter footer;
+  StripeIndex index;
+};
+
+std::string Compressed(const std::string& raw) {
+  std::string stored;
+  EXPECT_TRUE(codec::CompressToUnits(nullptr, raw,
+                                     codec::kDefaultCompressionUnitSize,
+                                     &stored)
+                  .ok());
+  return stored;
+}
+
+std::string Decompressed(std::string_view stored) {
+  std::string raw;
+  EXPECT_TRUE(codec::DecompressUnits(nullptr, stored, &raw).ok());
+  return raw;
+}
+
+template <typename Section>
+std::string Serialized(const Section& section) {
+  std::string raw;
+  section.Serialize(&raw);
+  return raw;
+}
+
+/// Rebuilds the file around new raw stripe index and footer sections,
+/// recomputing the stripe's section checksums, the file footer and
+/// metadata, and the postscript.
+std::string Rebuilt(const StripeSections& sections,
+                    const std::string& index_raw,
+                    const std::string& footer_raw) {
+  const StripeInformation& old = sections.tail.stripes[0];
+  const std::string index_bytes = Compressed(index_raw);
+  const std::string footer_bytes = Compressed(footer_raw);
+  FileTail tail = sections.tail;
+  StripeInformation& info = tail.stripes[0];
+  info.index_length = index_bytes.size();
+  info.footer_length = footer_bytes.size();
+  info.index_crc = Crc32(index_bytes);
+  info.footer_crc = Crc32(footer_bytes);
+  std::string metadata_raw, file_footer_raw;
+  SerializeFileMetadata(tail, &metadata_raw);
+  SerializeFileFooter(tail, &file_footer_raw);
+  const std::string metadata_bytes = Compressed(metadata_raw);
+  const std::string file_footer_bytes = Compressed(file_footer_raw);
+  std::string postscript;
+  PutVarint64(&postscript, file_footer_bytes.size());
+  PutVarint64(&postscript, metadata_bytes.size());
+  postscript.push_back(static_cast<char>(tail.compression));
+  PutVarint64(&postscript, tail.compression_unit);
+  PutVarint64(&postscript, tail.row_index_stride);
+  PutFixed32(&postscript, Crc32(file_footer_bytes));
+  PutFixed32(&postscript, Crc32(metadata_bytes));
+  postscript.append(kOrcMagic, kOrcMagicLen);
+  return sections.file.substr(0, old.offset) + index_bytes +
+         sections.file.substr(old.offset + old.index_length,
+                              old.data_length) +
+         footer_bytes + metadata_bytes + file_footer_bytes + postscript +
+         static_cast<char>(postscript.size());
+}
+
+/// Writes the rebuilt file and scans it with a predicate that keeps every
+/// group, so both the stripe footer and the row index are used.
+Status ScanRebuilt(dfs::FileSystem* fs, const StripeSections& sections,
+                   const std::string& index_raw, const std::string& footer_raw,
+                   bool verify_checksums) {
+  OverwriteFile(fs, kSectionsPath, Rebuilt(sections, index_raw, footer_raw));
+  SearchArgument sarg;
+  sarg.AddLeaf({0, PredicateOp::kGreaterThanEquals, Value::Int(0), {}, {}});
+  OrcReadOptions options;
+  options.sarg = &sarg;
+  options.verify_checksums = verify_checksums;
+  auto reader = OrcReader::Open(fs, kSectionsPath, options);
+  if (!reader.ok()) return reader.status();
+  Row row;
+  for (int64_t i = 0;; ++i) {
+    Result<bool> more = (*reader)->NextRow(&row);
+    if (!more.ok()) return more.status();
+    if (!*more) return Status::OK();
+    if (row[0].AsInt() != i) return Status::Internal("wrong row");
+  }
+}
+
+/// Writes a one-stripe, three-group file and parses its sections.
+StripeSections WriteOneStripe(dfs::FileSystem* fs) {
+  OrcWriterOptions options;
+  options.row_index_stride = 1000;
+  auto writer = std::move(OrcWriter::Create(fs, kSectionsPath, Schema(),
+                                            options))
+                    .ValueOrDie();
+  for (int i = 0; i < 3000; ++i) EXPECT_TRUE(writer->AddRow(MakeRow(i)).ok());
+  EXPECT_TRUE(writer->Close().ok());
+  StripeSections sections;
+  sections.file = ReadWholeFile(fs, kSectionsPath);
+  sections.tail =
+      std::move(OrcReader::Open(fs, kSectionsPath)).ValueOrDie()->tail();
+  EXPECT_EQ(sections.tail.stripes.size(), 1u);
+  const StripeInformation& s = sections.tail.stripes[0];
+  std::string_view file = sections.file;
+  EXPECT_TRUE(StripeFooter::Deserialize(
+                  Decompressed(file.substr(
+                      s.offset + s.index_length + s.data_length,
+                      s.footer_length)),
+                  &sections.footer)
+                  .ok());
+  EXPECT_TRUE(StripeIndex::Deserialize(
+                  Decompressed(file.substr(s.offset, s.index_length)),
+                  &sections.index)
+                  .ok());
+  EXPECT_EQ(sections.footer.num_groups, 3u);
+  // Unedited sections rebuild into a file that reads back intact.
+  Status round_trip = ScanRebuilt(fs, sections, Serialized(sections.index),
+                                  Serialized(sections.footer), true);
+  EXPECT_TRUE(round_trip.ok()) << round_trip.ToString();
+  return sections;
+}
+
+void ExpectRejected(dfs::FileSystem* fs, const StripeSections& sections,
+                    bool verify_checksums = true) {
+  Status s = ScanRebuilt(fs, sections, Serialized(sections.index),
+                         Serialized(sections.footer), verify_checksums);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+}
+
+TEST(OrcCorruptionTest, StreamColumnOutsideSchemaIsRejected) {
+  dfs::FileSystem fs;
+  StripeSections sections = WriteOneStripe(&fs);
+  sections.footer.streams[0].column = 127;
+  ExpectRejected(&fs, sections);
+}
+
+TEST(OrcCorruptionTest, FooterColumnCountMismatchIsRejected) {
+  dfs::FileSystem fs;
+  StripeSections sections = WriteOneStripe(&fs);
+  StripeFooter& footer = sections.footer;
+  footer.encodings.pop_back();
+  footer.dictionary_sizes.pop_back();
+  footer.instance_counts.pop_back();
+  footer.nonnull_counts.pop_back();
+  ExpectRejected(&fs, sections);
+}
+
+TEST(OrcCorruptionTest, SegmentListCountMismatchIsRejected) {
+  dfs::FileSystem fs;
+  StripeSections sections = WriteOneStripe(&fs);
+  sections.index.segment_ends.pop_back();
+  sections.index.segment_crcs.pop_back();
+  ExpectRejected(&fs, sections);
+}
+
+TEST(OrcCorruptionTest, SegmentListLengthMismatchIsRejected) {
+  dfs::FileSystem fs;
+  StripeSections sections = WriteOneStripe(&fs);
+  ASSERT_FALSE(IsStripeScoped(sections.footer.streams.back().kind));
+  sections.index.segment_ends.back().resize(1);
+  sections.index.segment_crcs.back().resize(1);
+  ExpectRejected(&fs, sections);
+}
+
+TEST(OrcCorruptionTest, DecreasingSegmentEndsAreRejected) {
+  // Segment checksums cover the original boundaries, so read unverified:
+  // a swapped pair would otherwise decode another group's values.
+  dfs::FileSystem fs;
+  StripeSections sections = WriteOneStripe(&fs);
+  std::vector<uint64_t>& ends = sections.index.segment_ends[0];
+  ASSERT_EQ(ends.size(), 3u);
+  std::swap(ends[0], ends[1]);
+  ExpectRejected(&fs, sections, /*verify_checksums=*/false);
+}
+
+TEST(OrcCorruptionTest, SegmentEndPastTheStreamIsRejected) {
+  // The last segment of stream 0 reaches over the whole first segment of
+  // stream 1: its units decode cleanly, so only the bound can catch it.
+  dfs::FileSystem fs;
+  StripeSections sections = WriteOneStripe(&fs);
+  ASSERT_FALSE(IsStripeScoped(sections.footer.streams[1].kind));
+  sections.index.segment_ends[0].back() =
+      sections.footer.streams[0].length + sections.index.segment_ends[1][0];
+  ExpectRejected(&fs, sections, /*verify_checksums=*/false);
+}
+
+TEST(OrcCorruptionTest, GroupStatsShapeMismatchIsRejected) {
+  dfs::FileSystem fs;
+  StripeSections sections = WriteOneStripe(&fs);
+  sections.index.group_stats.pop_back();
+  ExpectRejected(&fs, sections);
+}
+
+/// Returns `raw` with the varint at byte `at` replaced by `value`.
+std::string WithVarintAt(const std::string& raw, size_t at, uint64_t value) {
+  ByteReader reader(std::string_view(raw).substr(at));
+  uint64_t ignored;
+  EXPECT_TRUE(reader.GetVarint64(&ignored).ok());
+  std::string out = raw.substr(0, at);
+  PutVarint64(&out, value);
+  return out + raw.substr(at + reader.position());
+}
+
+TEST(OrcCorruptionTest, ElementCountsPastTheSectionAreRejected) {
+  dfs::FileSystem fs;
+  StripeSections sections = WriteOneStripe(&fs);
+  const std::string index_raw = Serialized(sections.index);
+  const std::string footer_raw = Serialized(sections.footer);
+  // Byte offsets of the footer's column and group counts: serialize the
+  // footer with those counts zeroed, so they end the output.
+  StripeFooter head = sections.footer;
+  head.num_groups = 0;
+  const size_t groups_at = Serialized(head).size() - 1;
+  head.encodings.clear();
+  const size_t columns_at = Serialized(head).size() - 2;
+
+  const uint64_t kHuge = uint64_t{1} << 50;
+  struct Case {
+    const char* what;
+    std::string index;
+    std::string footer;
+  };
+  const Case cases[] = {
+      {"footer streams", index_raw, WithVarintAt(footer_raw, 0, kHuge)},
+      {"footer columns", index_raw,
+       WithVarintAt(footer_raw, columns_at, kHuge)},
+      {"footer groups", index_raw, WithVarintAt(footer_raw, groups_at, kHuge)},
+      {"index segment lists", WithVarintAt(index_raw, 0, kHuge), footer_raw},
+      {"index list length", WithVarintAt(index_raw, 1, kHuge), footer_raw},
+  };
+  for (const Case& c : cases) {
+    Status s = ScanRebuilt(&fs, sections, c.index, c.footer, true);
+    EXPECT_TRUE(s.IsCorruption()) << c.what << ": " << s.ToString();
   }
 }
 

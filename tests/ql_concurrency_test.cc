@@ -126,11 +126,9 @@ TEST_F(ConcurrencyTest, ConcurrentQueriesMatchSerialByteForByte) {
     threads.emplace_back([&, t] {
       DriverOptions options;
       options.session = session.get();
-      // Half the drivers run vectorized+SIMD, half row-mode scalar: the
-      // arms are byte-identical by construction, and concurrent mixing
-      // must not change that.
+      // Half the drivers run vectorized, half row mode: concurrent mixing
+      // must not change either engine's results.
       options.vectorized_execution = t % 2 == 0;
-      options.enable_simd = t % 2 == 0;
       Driver driver(fs_.get(), catalog_.get(), options);
       auto result = driver.Execute(QueryForThread(t));
       statuses[t] = result.status();

@@ -14,6 +14,7 @@
 #include "common/random.h"
 #include "datagen/loader.h"
 #include "ql/driver.h"
+#include "vec/simd.h"
 
 namespace minihive::ql {
 namespace {
@@ -186,11 +187,14 @@ class DifferentialTest : public ::testing::Test {
     }
     // Late materialization and SIMD dispatch are pure performance layers
     // too: toggle them per (seed, engine) so the sweep covers two-phase vs
-    // eager ORC reads and AVX2 vs scalar kernels in every combination.
+    // eager ORC reads and AVX2 vs scalar kernels in every combination. The
+    // kernel arm is process-wide, so it is switched between queries.
     options.enable_late_materialization = cache_rng.Uniform(2) == 0;
-    options.enable_simd = cache_rng.Uniform(2) == 0;
+    simd::SetEnabled(cache_rng.Uniform(2) == 0);
     Driver driver(fs_.get(), catalog_.get(), options);
-    return driver.Execute(sql);
+    Result<QueryResult> result = driver.Execute(sql);
+    simd::SetEnabled(true);
+    return result;
   }
 
   std::unique_ptr<dfs::FileSystem> fs_;

@@ -147,8 +147,8 @@ TEST_F(MapJoinFallbackTest, LocalTaskRetriesAreCountedInJobReport) {
     uint64_t local_failures = 0;
     double local_millis = 0;
     for (const JobReport& report : got->jobs) {
-      local_failures += report.local_task_failures;
-      local_millis += report.local_task_millis;
+      local_failures += report.counters.local_task_failures;
+      local_millis += report.counters.local_task_millis();
     }
     EXPECT_EQ(local_failures, got->counters.local_task_failures.load());
     if (local_failures > 0) {

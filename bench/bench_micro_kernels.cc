@@ -7,6 +7,7 @@
 
 #include "bench/bench_util.h"
 #include "codec/codec.h"
+#include "common/crc32.h"
 #include "common/random.h"
 #include "exec/expr.h"
 #include "exec/operators.h"
@@ -286,6 +287,28 @@ void BM_SimdHashBytes(benchmark::State& state) {
   simd::SetEnabled(true);
 }
 BENCHMARK(BM_SimdHashBytes)->ArgName("simd")->Arg(0);
+
+// ---- CRC-32: slice-by-8 (arm 0) against the runtime-dispatched arm (1),
+// which folds with PCLMULQDQ when the CPU has it. Sizes: a small section
+// and a typical stream segment.
+
+void BM_Crc32(benchmark::State& state) {
+  const bool dispatched = state.range(0) != 0;
+  Random rng(11);
+  const std::string data = rng.NextString(static_cast<size_t>(state.range(1)));
+  uint32_t sink = 0;
+  for (auto _ : state) {
+    sink ^= dispatched ? Crc32(data) : Crc32Scalar(data);
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetBytesProcessed(state.iterations() * data.size());
+}
+BENCHMARK(BM_Crc32)
+    ->ArgNames({"simd", "bytes"})
+    ->Args({0, 1024})
+    ->Args({1, 1024})
+    ->Args({0, 65536})
+    ->Args({1, 65536});
 
 // ---- ORC integer RLE vs raw varints.
 

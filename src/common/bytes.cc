@@ -43,7 +43,7 @@ void PutDoubleBits(std::string* dst, double value) {
   PutFixed64(dst, bits);
 }
 
-Status ByteReader::GetVarint64(uint64_t* value) {
+Status ByteReader::GetVarint64Slow(uint64_t* value) {
   uint64_t result = 0;
   int shift = 0;
   while (pos_ < data_.size()) {
@@ -57,13 +57,6 @@ Status ByteReader::GetVarint64(uint64_t* value) {
     shift += 7;
   }
   return Status::Corruption("truncated varint64");
-}
-
-Status ByteReader::GetVarintSigned64(int64_t* value) {
-  uint64_t zigzag;
-  MINIHIVE_RETURN_IF_ERROR(GetVarint64(&zigzag));
-  *value = static_cast<int64_t>(zigzag >> 1) ^ -static_cast<int64_t>(zigzag & 1);
-  return Status::OK();
 }
 
 Status ByteReader::GetFixed64(uint64_t* value) {
@@ -115,12 +108,6 @@ Status ByteReader::GetBytes(size_t n, std::string_view* value) {
   if (remaining() < n) return Status::Corruption("truncated byte range");
   *value = data_.substr(pos_, n);
   pos_ += n;
-  return Status::OK();
-}
-
-Status ByteReader::GetByte(uint8_t* value) {
-  if (remaining() < 1) return Status::Corruption("truncated byte");
-  *value = static_cast<uint8_t>(data_[pos_++]);
   return Status::OK();
 }
 

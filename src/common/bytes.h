@@ -47,20 +47,51 @@ class ByteReader {
     return Status::OK();
   }
 
-  Status GetVarint64(uint64_t* value);
+  /// Inlined: a varint that ends within the next ten bytes is decoded
+  /// without per-byte bounds checks. Near the end of the buffer, and for a
+  /// varint that runs past ten bytes, the checked loop decides.
+  Status GetVarint64(uint64_t* value) {
+    if (data_.size() - pos_ >= kMaxVarint64Bytes) {
+      const auto* p = reinterpret_cast<const uint8_t*>(data_.data()) + pos_;
+      uint64_t result = 0;
+      for (size_t i = 0; i < kMaxVarint64Bytes; ++i) {
+        result |= static_cast<uint64_t>(p[i] & 0x7f) << (7 * i);
+        if (p[i] < 0x80) {
+          pos_ += i + 1;
+          *value = result;
+          return Status::OK();
+        }
+      }
+    }
+    return GetVarint64Slow(value);
+  }
   /// Reads a varint element count and rejects one larger than the bytes
   /// left: every element takes at least one byte, so callers may size a
   /// buffer from the count before parsing its elements.
   Status GetCount(uint64_t* count);
-  Status GetVarintSigned64(int64_t* value);
+  Status GetVarintSigned64(int64_t* value) {
+    uint64_t zigzag;
+    MINIHIVE_RETURN_IF_ERROR(GetVarint64(&zigzag));
+    *value = static_cast<int64_t>(zigzag >> 1) ^
+             -static_cast<int64_t>(zigzag & 1);
+    return Status::OK();
+  }
   Status GetFixed64(uint64_t* value);
   Status GetFixed32(uint32_t* value);
   Status GetLengthPrefixed(std::string_view* value);
   Status GetDoubleBits(double* value);
   Status GetBytes(size_t n, std::string_view* value);
-  Status GetByte(uint8_t* value);
+  Status GetByte(uint8_t* value) {
+    if (pos_ == data_.size()) return Status::Corruption("truncated byte");
+    *value = static_cast<uint8_t>(data_[pos_++]);
+    return Status::OK();
+  }
 
  private:
+  static constexpr size_t kMaxVarint64Bytes = 10;
+
+  Status GetVarint64Slow(uint64_t* value);
+
   std::string_view data_;
   size_t pos_ = 0;
 };

@@ -13,6 +13,11 @@ namespace {
 constexpr char kMagic[] = "MINIRC01";
 constexpr size_t kMagicLen = 8;
 constexpr size_t kSyncMarkerLen = 16;
+/// Largest raw (uncompressed) column buffer of one row group. Writers flush
+/// a group once it buffers row_group_size bytes (4 MB by default), so only a
+/// single enormous row comes near this; the reader rejects a larger raw_len
+/// before allocating for it.
+constexpr uint64_t kMaxColumnBytes = uint64_t{1} << 30;
 
 std::string MakeSyncMarker(const std::string& path) {
   std::string marker;
@@ -106,6 +111,9 @@ class RcFileWriter : public FileWriter {
       framed += raw;
       framed += columns_[i].bytes;
       raw = std::move(framed);
+      if (raw.size() > kMaxColumnBytes) {
+        return Status::InvalidArgument("RCFile column buffer over 1 GiB");
+      }
       raw_sizes[i] = raw.size();
       if (codec_ != nullptr) {
         std::string compressed;
@@ -286,6 +294,11 @@ class RcFileReader : public RowReader {
     for (uint64_t i = 0; i < cols; ++i) {
       MINIHIVE_RETURN_IF_ERROR(reader.GetVarint64(&stored_len[i]));
       MINIHIVE_RETURN_IF_ERROR(reader.GetVarint64(&raw_len[i]));
+      if (raw_len[i] > kMaxColumnBytes) {
+        return Status::Corruption("RCFile column raw length " +
+                                  std::to_string(raw_len[i]) +
+                                  " exceeds the format's bound");
+      }
     }
     uint64_t data_start = pos_ + reader.position();
     // Read only projected columns' buffers (columnar I/O benefit).

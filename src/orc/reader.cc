@@ -274,22 +274,6 @@ class SectionReader {
   uint64_t unit_ = 0;
 };
 
-/// The reader indexes its column tree and per-column arrays with numbers
-/// read from the stripe footer, so each is checked against the schema.
-Status CheckStripeFooter(const StripeFooter& footer, size_t num_columns) {
-  if (footer.encodings.size() != num_columns) {
-    return Status::Corruption(
-        "ORC stripe footer column count does not match the schema");
-  }
-  for (const StreamInfo& s : footer.streams) {
-    if (s.column >= num_columns) {
-      return Status::Corruption(
-          "ORC stripe footer stream names a column outside the schema");
-    }
-  }
-  return Status::OK();
-}
-
 /// The row index addresses the footer's streams and columns group by
 /// group: its shape and segment offsets must agree with the footer.
 Status CheckStripeIndex(const StripeIndex& index, const StripeFooter& footer) {
@@ -389,12 +373,7 @@ class StreamReader {
       bit_dec_ = std::make_unique<BitFieldDecoder>(raw_);
     }
     out->resize(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      bool v;
-      MINIHIVE_RETURN_IF_ERROR(bit_dec_->Next(&v));
-      (*out)[i] = v ? 1 : 0;
-    }
-    return Status::OK();
+    return bit_dec_->NextBatch(out->data(), n);
   }
 
   Status ReadInts(uint64_t n, std::vector<int64_t>* out) {
@@ -410,10 +389,7 @@ class StreamReader {
       byte_dec_ = std::make_unique<RunLengthByteDecoder>(raw_);
     }
     out->resize(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      MINIHIVE_RETURN_IF_ERROR(byte_dec_->Next(&(*out)[i]));
-    }
-    return Status::OK();
+    return byte_dec_->NextBatch(out->data(), n);
   }
 
   /// Appends the next n raw bytes to *out.
@@ -535,6 +511,63 @@ struct ColumnNode {
     for (auto& child : children) child->Flatten(out);
   }
 };
+
+/// The reader indexes its column tree, per-column arrays and decoded value
+/// buffers with numbers read from the stripe footer, so each is checked
+/// against the schema's column tree `nodes` and against each other: every
+/// stream has a known kind and names a schema column, every column has the
+/// streams its type and encoding decode from, no group counts more
+/// non-null values than instances, and every top-level column has the
+/// root's row count in every group.
+Status CheckStripeFooter(const StripeFooter& footer,
+                         const std::vector<ColumnNode*>& nodes) {
+  const size_t num_columns = nodes.size();
+  if (footer.encodings.size() != num_columns) {
+    return Status::Corruption(
+        "ORC stripe footer column count does not match the schema");
+  }
+  std::vector<uint8_t> kinds_seen(num_columns, 0);  // Bit per StreamKind.
+  for (const StreamInfo& s : footer.streams) {
+    if (s.column >= num_columns) {
+      return Status::Corruption(
+          "ORC stripe footer stream names a column outside the schema");
+    }
+    if (s.kind > StreamKind::kDictionaryLength) {
+      return Status::Corruption("ORC stripe footer stream has unknown kind " +
+                                std::to_string(static_cast<int>(s.kind)));
+    }
+    kinds_seen[s.column] |= 1u << static_cast<int>(s.kind);
+  }
+  for (size_t c = 0; c < num_columns; ++c) {
+    const ColumnEncoding encoding = footer.encodings[c];
+    if (encoding != ColumnEncoding::kDirect &&
+        encoding != ColumnEncoding::kDictionary) {
+      return Status::Corruption(
+          "ORC stripe footer column has unknown encoding");
+    }
+    for (StreamKind kind :
+         StreamsForColumn(nodes[c]->type->kind(), false, encoding)) {
+      if ((kinds_seen[c] & (1u << static_cast<int>(kind))) == 0) {
+        return Status::Corruption("ORC stripe footer column " +
+                                  std::to_string(c) +
+                                  " lacks a stream its type needs");
+      }
+    }
+    for (uint32_t g = 0; g < footer.num_groups; ++g) {
+      if (footer.nonnull_counts[c][g] > footer.instance_counts[c][g]) {
+        return Status::Corruption(
+            "ORC stripe footer counts more values than instances");
+      }
+    }
+  }
+  for (const auto& child : nodes[0]->children) {
+    if (footer.instance_counts[child->column_id] != footer.instance_counts[0]) {
+      return Status::Corruption(
+          "ORC stripe footer row counts differ between top-level columns");
+    }
+  }
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -889,7 +922,7 @@ class OrcReader::Impl {
               info.footer_length, info.footer_crc, "stripe footer",
               Event::kTailBytesRead, &raw));
           MINIHIVE_RETURN_IF_ERROR(StripeFooter::Deserialize(raw, footer));
-          return CheckStripeFooter(*footer, nodes.size());
+          return CheckStripeFooter(*footer, nodes);
         }));
     group_sel_active_ = false;
 
@@ -1162,10 +1195,21 @@ class OrcReader::Impl {
     node->arena.clear();
     node->str_spans.clear();
 
+    // The value cursors walk `nonnull` packed values over `instances`
+    // rows, so the present bits must agree with the footer's count.
     if (node->present_stream != nullptr) {
       MINIHIVE_RETURN_IF_ERROR(node->present_stream->StartGroup(g));
       MINIHIVE_RETURN_IF_ERROR(
           node->present_stream->ReadBits(instances, &node->present));
+      uint64_t set = 0;
+      for (uint8_t bit : node->present) set += bit;
+      if (set != nonnull) {
+        return Status::Corruption("ORC present stream disagrees with the "
+                                  "stripe footer's non-null count");
+      }
+    } else if (nonnull != instances) {
+      return Status::Corruption(
+          "ORC column without a present stream counts NULLs");
     }
     switch (node->type->kind()) {
       case TypeKind::kBoolean: {
@@ -1209,6 +1253,11 @@ class OrcReader::Impl {
         if (node->encoding == ColumnEncoding::kDictionary) {
           MINIHIVE_RETURN_IF_ERROR(
               node->data_stream->ReadInts(nonnull, &node->ints));
+          for (int64_t id : node->ints) {
+            if (static_cast<uint64_t>(id) >= node->dict.size()) {
+              return Status::Corruption("ORC dictionary id out of range");
+            }
+          }
         } else {
           MINIHIVE_RETURN_IF_ERROR(node->length_stream->StartGroup(g));
           std::vector<int64_t> lengths;
@@ -1323,6 +1372,23 @@ class OrcReader::Impl {
     return Status::Internal("unreachable");
   }
 
+  /// Copies the next n rows of a numeric column's packed values into `out`:
+  /// one block copy when the group has no NULLs, else a zero per NULL slot.
+  /// CheckStripeFooter and DecodeColumnGroup bound the cursors: the packed
+  /// values hold exactly the group's non-null count.
+  template <typename T>
+  static void FillNumeric(ColumnNode* node, const T* values, T* out, int n) {
+    if (node->present.empty()) {
+      std::memcpy(out, values + node->nn_cur, n * sizeof(T));
+      node->nn_cur += n;
+      return;
+    }
+    const uint8_t* present = node->present.data() + node->inst_cur;
+    for (int i = 0; i < n; ++i) {
+      out[i] = present[i] ? values[node->nn_cur++] : T{0};
+    }
+  }
+
   /// Copies n rows of a primitive top-level column into a batch vector
   /// (paper §6.5: the reader deserializes into column vectors and sets the
   /// no-null flag). `sel_mask` (phase-1 verdicts for these n rows, or null)
@@ -1336,27 +1402,20 @@ class OrcReader::Impl {
     vec::ColumnVector* base = batch->columns[vector_index].get();
     if (!no_nulls) {
       base->no_nulls = false;
-      for (int i = 0; i < n; ++i) {
-        base->not_null[i] = node->present[node->inst_cur + i];
-      }
+      std::memcpy(base->not_null.data(), node->present.data() + node->inst_cur,
+                  n);
     }
     switch (base->kind()) {
-      case vec::VectorKind::kLong: {
-        auto* vec = static_cast<vec::LongColumnVector*>(base);
-        for (int i = 0; i < n; ++i) {
-          bool p = no_nulls || node->present[node->inst_cur + i];
-          vec->vector[i] = p ? node->ints[node->nn_cur++] : 0;
-        }
+      case vec::VectorKind::kLong:
+        FillNumeric(node, node->ints.data(),
+                    static_cast<vec::LongColumnVector*>(base)->vector.data(),
+                    n);
         break;
-      }
-      case vec::VectorKind::kDouble: {
-        auto* vec = static_cast<vec::DoubleColumnVector*>(base);
-        for (int i = 0; i < n; ++i) {
-          bool p = no_nulls || node->present[node->inst_cur + i];
-          vec->vector[i] = p ? node->doubles[node->nn_cur++] : 0;
-        }
+      case vec::VectorKind::kDouble:
+        FillNumeric(
+            node, node->doubles.data(),
+            static_cast<vec::DoubleColumnVector*>(base)->vector.data(), n);
         break;
-      }
       case vec::VectorKind::kBytes: {
         auto* vec = static_cast<vec::BytesColumnVector*>(base);
         bool dict = node->encoding == ColumnEncoding::kDictionary;

@@ -1,5 +1,8 @@
 #include "orc/stream_encoding.h"
 
+#include <algorithm>
+#include <cstring>
+
 namespace minihive::orc {
 
 namespace {
@@ -60,28 +63,45 @@ void RunLengthByteEncoder::Finish(std::string* out) {
   buffer_.clear();
 }
 
-Status RunLengthByteDecoder::Next(uint8_t* value) {
-  if (pending_ == 0) {
-    uint8_t header;
-    MINIHIVE_RETURN_IF_ERROR(reader_.GetByte(&header));
-    int8_t signed_header = static_cast<int8_t>(header);
-    if (signed_header >= 0) {
-      in_run_ = true;
-      pending_ = signed_header + kMinRun;
-      MINIHIVE_RETURN_IF_ERROR(reader_.GetByte(&run_value_));
-    } else {
-      in_run_ = false;
-      pending_ = -signed_header;
-      MINIHIVE_RETURN_IF_ERROR(
-          reader_.GetBytes(pending_, &literal_bytes_));
-      literal_pos_ = 0;
-    }
+Status RunLengthByteDecoder::ReadHeader() {
+  uint8_t header;
+  MINIHIVE_RETURN_IF_ERROR(reader_.GetByte(&header));
+  int8_t signed_header = static_cast<int8_t>(header);
+  if (signed_header >= 0) {
+    in_run_ = true;
+    pending_ = signed_header + kMinRun;
+    return reader_.GetByte(&run_value_);
   }
+  in_run_ = false;
+  pending_ = -signed_header;
+  literal_pos_ = 0;
+  return reader_.GetBytes(pending_, &literal_bytes_);
+}
+
+Status RunLengthByteDecoder::Next(uint8_t* value) {
+  if (pending_ == 0) MINIHIVE_RETURN_IF_ERROR(ReadHeader());
   --pending_;
   if (in_run_) {
     *value = run_value_;
   } else {
     *value = static_cast<uint8_t>(literal_bytes_[literal_pos_++]);
+  }
+  return Status::OK();
+}
+
+Status RunLengthByteDecoder::NextBatch(uint8_t* out, size_t n) {
+  while (n > 0) {
+    if (pending_ == 0) MINIHIVE_RETURN_IF_ERROR(ReadHeader());
+    const size_t take = std::min<size_t>(pending_, n);
+    if (in_run_) {
+      std::memset(out, run_value_, take);
+    } else {
+      std::memcpy(out, literal_bytes_.data() + literal_pos_, take);
+      literal_pos_ += take;
+    }
+    pending_ -= static_cast<int>(take);
+    out += take;
+    n -= take;
   }
   return Status::OK();
 }
@@ -165,23 +185,25 @@ void IntRleEncoder::Finish(std::string* out) {
   buffer_.clear();
 }
 
-Status IntRleDecoder::Next(int64_t* value) {
-  if (pending_ == 0) {
-    uint8_t header;
-    MINIHIVE_RETURN_IF_ERROR(reader_.GetByte(&header));
-    int8_t signed_header = static_cast<int8_t>(header);
-    if (signed_header >= 0) {
-      in_run_ = true;
-      pending_ = signed_header + kMinRun;
-      uint8_t delta_byte;
-      MINIHIVE_RETURN_IF_ERROR(reader_.GetByte(&delta_byte));
-      run_delta_ = static_cast<int8_t>(delta_byte);
-      MINIHIVE_RETURN_IF_ERROR(reader_.GetVarintSigned64(&run_value_));
-    } else {
-      in_run_ = false;
-      pending_ = -signed_header;
-    }
+Status IntRleDecoder::ReadHeader() {
+  uint8_t header;
+  MINIHIVE_RETURN_IF_ERROR(reader_.GetByte(&header));
+  int8_t signed_header = static_cast<int8_t>(header);
+  if (signed_header < 0) {
+    in_run_ = false;
+    pending_ = -signed_header;
+    return Status::OK();
   }
+  in_run_ = true;
+  pending_ = signed_header + kMinRun;
+  uint8_t delta_byte;
+  MINIHIVE_RETURN_IF_ERROR(reader_.GetByte(&delta_byte));
+  run_delta_ = static_cast<int8_t>(delta_byte);
+  return reader_.GetVarintSigned64(&run_value_);
+}
+
+Status IntRleDecoder::Next(int64_t* value) {
+  if (pending_ == 0) MINIHIVE_RETURN_IF_ERROR(ReadHeader());
   --pending_;
   if (in_run_) {
     *value = run_value_;
@@ -193,8 +215,26 @@ Status IntRleDecoder::Next(int64_t* value) {
 }
 
 Status IntRleDecoder::NextBatch(int64_t* out, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    MINIHIVE_RETURN_IF_ERROR(Next(&out[i]));
+  while (n > 0) {
+    if (pending_ == 0) MINIHIVE_RETURN_IF_ERROR(ReadHeader());
+    const size_t take = std::min<size_t>(pending_, n);
+    if (!in_run_) {
+      for (size_t i = 0; i < take; ++i) {
+        MINIHIVE_RETURN_IF_ERROR(reader_.GetVarintSigned64(&out[i]));
+      }
+    } else if (run_delta_ == 0) {
+      std::fill(out, out + take, run_value_);
+    } else {
+      int64_t v = run_value_;
+      for (size_t i = 0; i < take; ++i) {
+        out[i] = v;
+        v = WrapAdd(v, run_delta_);
+      }
+      run_value_ = v;
+    }
+    pending_ -= static_cast<int>(take);
+    out += take;
+    n -= take;
   }
   return Status::OK();
 }
@@ -231,6 +271,37 @@ Status BitFieldDecoder::Next(bool* value) {
   *value = (current_ & 0x80) != 0;
   current_ = static_cast<uint8_t>(current_ << 1);
   --bits_left_;
+  return Status::OK();
+}
+
+Status BitFieldDecoder::NextBatch(uint8_t* out, size_t n) {
+  // Bits left in the current byte come first.
+  for (; n > 0 && bits_left_ > 0; --n, --bits_left_) {
+    *out++ = current_ >> 7;
+    current_ = static_cast<uint8_t>(current_ << 1);
+  }
+  // Whole bytes, decoded a chunk at a time and expanded MSB first.
+  uint8_t chunk[256];
+  while (n >= 8) {
+    const size_t bytes = std::min(n / 8, sizeof(chunk));
+    MINIHIVE_RETURN_IF_ERROR(bytes_.NextBatch(chunk, bytes));
+    for (size_t b = 0; b < bytes; ++b) {
+      for (int bit = 0; bit < 8; ++bit) {
+        out[bit] = (chunk[b] >> (7 - bit)) & 1;
+      }
+      out += 8;
+    }
+    n -= bytes * 8;
+  }
+  // A partial byte: its unread bits stay pending.
+  if (n > 0) {
+    MINIHIVE_RETURN_IF_ERROR(bytes_.Next(&current_));
+    bits_left_ = 8;
+    for (; n > 0; --n, --bits_left_) {
+      *out++ = current_ >> 7;
+      current_ = static_cast<uint8_t>(current_ << 1);
+    }
+  }
   return Status::OK();
 }
 

@@ -45,10 +45,15 @@ class RunLengthByteDecoder {
  public:
   explicit RunLengthByteDecoder(std::string_view data) : reader_(data) {}
   Status Next(uint8_t* value);
+  /// Decodes exactly `n` values, a whole run or literal list per step;
+  /// fails if fewer remain.
+  Status NextBatch(uint8_t* out, size_t n);
   /// True when all encoded values have been consumed.
   bool AtEnd() const { return pending_ == 0 && reader_.AtEnd(); }
 
  private:
+  Status ReadHeader();
+
   ByteReader reader_;
   int pending_ = 0;      // Values remaining in the current run/literal list.
   bool in_run_ = false;
@@ -83,11 +88,14 @@ class IntRleDecoder {
  public:
   explicit IntRleDecoder(std::string_view data) : reader_(data) {}
   Status Next(int64_t* value);
-  /// Decodes up to `n` values; fails if fewer remain.
+  /// Decodes exactly `n` values, expanding a whole run or literal group
+  /// per step; fails if fewer remain.
   Status NextBatch(int64_t* out, size_t n);
   bool AtEnd() const { return pending_ == 0 && reader_.AtEnd(); }
 
  private:
+  Status ReadHeader();
+
   ByteReader reader_;
   int pending_ = 0;
   bool in_run_ = false;
@@ -115,6 +123,9 @@ class BitFieldDecoder {
  public:
   explicit BitFieldDecoder(std::string_view data) : bytes_(data) {}
   Status Next(bool* value);
+  /// Decodes exactly `n` bits as 0/1 bytes, expanding a whole encoded byte
+  /// per step; fails if fewer remain.
+  Status NextBatch(uint8_t* out, size_t n);
   /// Discards pending bits of the current byte. Called at index-group
   /// boundaries when decoding a concatenated stream sequentially, because
   /// the encoder pads each group to a byte boundary.

@@ -21,6 +21,11 @@
 ///    same way, double ops use the same IEEE operations in the same order,
 ///    and division keeps the same divide-by-zero guard. Callers may switch
 ///    arms mid-query and results do not change.
+///  - One more runtime-dispatched arm lives outside this layer: Crc32
+///    (common/crc32.h) folds with PCLMULQDQ on x86-64 CPUs that have it and
+///    falls back to slice-by-8, its identity reference. The cpuid check
+///    picks the arm once per process (SetEnabled does not switch it), and
+///    `MINIHIVE_DISABLE_SIMD` compiles it out like the AVX2 arms.
 namespace minihive::simd {
 
 /// True when the running CPU supports AVX2 (and it was not compiled out).

@@ -1,6 +1,8 @@
 #include "vec/vectorized_pipeline.h"
 
-#include <unordered_map>
+#include <bit>
+#include <cstring>
+#include <functional>
 
 #include "exec/plan.h"
 #include "orc/reader.h"
@@ -40,212 +42,507 @@ Value BoxValue(const VectorizedRowBatch& batch, int column, int row,
   return Value::Null();
 }
 
-/// Vectorized hash aggregation (map-side partial): key columns and agg
-/// argument columns are evaluated batch-at-a-time; the per-row work is one
-/// hash probe plus accumulator updates with no virtual calls.
+/// Vectorized hash aggregation (map-side partial), one column at a time:
+/// each batch's keys are flattened key column by key column, hashed and
+/// probed against a flat open-addressing table of group ids, and then
+/// every aggregate runs one tight loop over the surviving rows, specialised
+/// by kind and argument type. Values are boxed only at Emit.
+///
+/// Keys group by value bits: longs and doubles by bit pattern (-0.0 and 0.0
+/// are separate map-side groups, which the reduce-side merge joins as
+/// Value::Compare does; equal NaNs share a group), strings by bytes, and
+/// NULL is its own key. Double sums add each group's values in row order,
+/// so partials are bit-identical to a row-at-a-time fold.
 class VectorHashAggregator {
  public:
   struct AggSpec {
     AggKind kind = AggKind::kCountStar;
     int arg_column = -1;  // Batch column; -1 for COUNT(*).
-    TypeKind arg_type = TypeKind::kBigInt;
     bool sums_double = false;  // Matches AggBuffer's partial typing.
   };
 
-  VectorHashAggregator(std::vector<int> key_columns,
+  /// `layout` is a batch of the pipeline's column layout; it fixes the
+  /// vector kind of every key and argument column.
+  VectorHashAggregator(const VectorizedRowBatch& layout,
+                       std::vector<int> key_columns,
                        std::vector<TypeKind> key_types,
                        std::vector<AggSpec> aggs)
       : key_columns_(std::move(key_columns)),
-        key_types_(std::move(key_types)),
-        aggs_(std::move(aggs)) {}
-
-  void Update(const VectorizedRowBatch& batch) {
-    int n = batch.SelectedCount();
-    for (int j = 0; j < n; ++j) {
-      int i = batch.selected_in_use ? batch.selected[j] : j;
-      UpdateRow(batch, i);
+        keys_(key_types.size()),
+        width_(2 * keys_.size()),
+        aggs_(std::move(aggs)),
+        states_(aggs_.size()) {
+    for (size_t k = 0; k < keys_.size(); ++k) {
+      keys_[k].type = key_types[k];
+      keys_[k].kind = layout.columns[key_columns_[k]]->kind();
+    }
+    for (size_t a = 0; a < aggs_.size(); ++a) {
+      if (aggs_[a].arg_column >= 0) {
+        states_[a].arg_kind = layout.columns[aggs_[a].arg_column]->kind();
+      }
+    }
+    if (keys_.empty()) {
+      // A global aggregate has exactly one group and emits it even on
+      // empty input (a zero partial).
+      AddGroup();
+    } else {
+      slots_.assign(kInitialSlots, kEmptySlot);
     }
   }
 
-  /// Emits the partial rows ([keys][partials]) through `consume`; layout
-  /// matches the row-mode GroupByOperator's hash flush exactly.
-  Status Emit(const std::function<Status(const Row&)>& consume) {
-    if (table_.empty() && key_columns_.empty()) {
-      // Global aggregates emit a zero partial even on empty input.
-      Entry empty;
-      empty.states.resize(aggs_.size());
-      Row out;
-      EmitEntry(empty, &out);
-      return consume(out);
+  void Update(const VectorizedRowBatch& batch) {
+    const int n = batch.SelectedCount();
+    if (n == 0) return;
+    if (!batch.selected_in_use && static_cast<int>(identity_.size()) < n) {
+      identity_.resize(n);
+      for (int i = 0; i < n; ++i) identity_[i] = i;
     }
-    for (auto& [bytes, entry] : table_) {
-      Row out = entry.keys;
-      EmitEntry(entry, &out);
+    const int* rows =
+        batch.selected_in_use ? batch.selected.data() : identity_.data();
+    group_ids_.resize(n);
+    if (keys_.empty()) {
+      std::fill(group_ids_.begin(), group_ids_.end(), 0);
+    } else {
+      AssignGroups(batch, rows, n);
+    }
+    for (size_t a = 0; a < aggs_.size(); ++a) {
+      const AggSpec& spec = aggs_[a];
+      const ColumnVector* arg =
+          spec.arg_column < 0 ? nullptr : batch.columns[spec.arg_column].get();
+      UpdateAggregate(spec, arg, rows, n, &states_[a]);
+    }
+  }
+
+  /// Emits the partial rows ([keys][partials]) in first-seen group order;
+  /// the layout matches the row-mode GroupByOperator's hash flush exactly.
+  Status Emit(const std::function<Status(const Row&)>& consume) {
+    Row out;
+    for (uint32_t g = 0; g < num_groups_; ++g) {
+      out.clear();
+      const uint64_t* words = group_keys_.data() + g * width_;
+      for (size_t k = 0; k < keys_.size(); ++k) {
+        out.push_back(keys_[k].Box(g, words[2 * k], words[2 * k + 1]));
+      }
+      for (size_t a = 0; a < aggs_.size(); ++a) {
+        EmitState(aggs_[a], states_[a], g, &out);
+      }
       MINIHIVE_RETURN_IF_ERROR(consume(out));
     }
     return Status::OK();
   }
 
  private:
-  struct AggState {
-    int64_t count = 0;
-    int64_t int_sum = 0;
-    double double_sum = 0;
-    bool has_value = false;
-    Value extreme;
-  };
-  struct Entry {
-    Row keys;
-    std::vector<AggState> states;
-  };
+  static constexpr uint32_t kEmptySlot = UINT32_MAX;
+  static constexpr size_t kInitialSlots = 64;
+  static constexpr uint64_t kNullTag = 1;
 
-  void UpdateRow(const VectorizedRowBatch& batch, int i) {
-    key_scratch_.clear();
-    AppendKeyBytes(batch, i, &key_scratch_);
-    auto it = table_.find(key_scratch_);
-    if (it == table_.end()) {
-      Entry entry;
-      for (size_t k = 0; k < key_columns_.size(); ++k) {
-        entry.keys.push_back(
-            BoxValue(batch, key_columns_[k], i, key_types_[k]));
-      }
-      entry.states.resize(aggs_.size());
-      it = table_.emplace(key_scratch_, std::move(entry)).first;
-    }
-    std::vector<AggState>& states = it->second.states;
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      const AggSpec& spec = aggs_[a];
-      AggState& state = states[a];
-      if (spec.kind == AggKind::kCountStar) {
-        ++state.count;
-        continue;
-      }
-      const ColumnVector* col = batch.columns[spec.arg_column].get();
-      int slot = col->is_repeating ? 0 : i;
-      if (!col->no_nulls && !col->not_null[slot]) continue;
-      switch (spec.kind) {
-        case AggKind::kCount:
-          ++state.count;
-          break;
-        case AggKind::kSum:
-        case AggKind::kAvg: {
-          if (spec.sums_double) {
-            double v = col->kind() == VectorKind::kLong
-                           ? static_cast<double>(
-                                 static_cast<const LongColumnVector*>(col)
-                                     ->vector[slot])
-                           : static_cast<const DoubleColumnVector*>(col)
-                                 ->vector[slot];
-            state.double_sum += v;
-          } else {
-            state.int_sum +=
-                static_cast<const LongColumnVector*>(col)->vector[slot];
-          }
-          ++state.count;
-          state.has_value = true;
-          break;
-        }
-        case AggKind::kMin:
-        case AggKind::kMax: {
-          Value v = BoxValue(batch, spec.arg_column, i, spec.arg_type);
-          if (!state.has_value ||
-              (spec.kind == AggKind::kMin ? v.Compare(state.extreme) < 0
-                                          : v.Compare(state.extreme) > 0)) {
-            state.extreme = v;
-            state.has_value = true;
-          }
-          break;
-        }
-        default:
-          break;
-      }
-    }
+  /// SplitMix64 finalizer: places groups in the table; equality is always
+  /// decided by the key words (and bytes), never by the hash.
+  static uint64_t Mix64(uint64_t x) {
+    x ^= x >> 30;
+    x *= 0xbf58476d1ce4e5b9ULL;
+    x ^= x >> 27;
+    x *= 0x94d049bb133111ebULL;
+    x ^= x >> 31;
+    return x;
   }
 
-  void EmitEntry(const Entry& entry, Row* out) {
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      const AggSpec& spec = aggs_[a];
-      const AggState& state = entry.states[a];
-      switch (spec.kind) {
-        case AggKind::kCountStar:
-        case AggKind::kCount:
-          out->push_back(Value::Int(state.count));
-          break;
-        case AggKind::kSum:
-          if (!state.has_value) {
-            out->push_back(Value::Null());
-          } else if (spec.sums_double) {
-            out->push_back(Value::Double(state.double_sum));
-          } else {
-            out->push_back(Value::Int(state.int_sum));
-          }
-          break;
-        case AggKind::kAvg:
-          out->push_back(state.has_value ? Value::Double(state.double_sum)
-                                         : Value::Null());
-          out->push_back(Value::Int(state.count));
-          break;
-        case AggKind::kMin:
-        case AggKind::kMax:
-          out->push_back(state.has_value ? state.extreme : Value::Null());
-          break;
-      }
-    }
-  }
+  /// A key column. Each row's key is flattened into two words per column:
+  /// a value word (a long's or double's bits; a string's bytes when they
+  /// fit in eight, zero padded, else their hash) and a tag word (1 for
+  /// NULL, else twice the string length, 0 for a number). Equal keys have
+  /// equal words, and unequal keys unequal words except for long strings,
+  /// whose bytes are compared too.
+  struct KeyColumn {
+    TypeKind type = TypeKind::kBigInt;
+    VectorKind kind = VectorKind::kLong;
+    std::vector<uint64_t> offset;  // Strings: per group, a span in `arena`.
+    std::string arena;
 
-  void AppendKeyBytes(const VectorizedRowBatch& batch, int i,
-                      std::string* out) {
-    for (int column : key_columns_) {
-      const ColumnVector* col = batch.columns[column].get();
-      int slot = col->is_repeating ? 0 : i;
-      if (!col->no_nulls && !col->not_null[slot]) {
-        out->push_back(0);
-        continue;
-      }
-      switch (col->kind()) {
+    Value Box(uint32_t g, uint64_t value, uint64_t tag) const {
+      if (tag & kNullTag) return Value::Null();
+      switch (kind) {
         case VectorKind::kLong: {
-          out->push_back(1);
-          int64_t v = static_cast<const LongColumnVector*>(col)->vector[slot];
-          out->append(reinterpret_cast<const char*>(&v), sizeof(v));
+          int64_t v = static_cast<int64_t>(value);
+          return type == TypeKind::kBoolean ? Value::Bool(v != 0)
+                                            : Value::Int(v);
+        }
+        case VectorKind::kDouble:
+          return Value::Double(std::bit_cast<double>(value));
+        case VectorKind::kBytes:
+          break;
+      }
+      return Value::String(arena.substr(offset[g], tag >> 1));
+    }
+  };
+
+  /// Per-aggregate state arrays, one slot per group. Every aggregate counts
+  /// the values it folded (a group with none emits NULL for SUM, AVG, MIN
+  /// and MAX); SUM/AVG add a sum and MIN/MAX keep the typed extreme.
+  struct AggStates {
+    VectorKind arg_kind = VectorKind::kLong;
+    std::vector<int64_t> count;
+    std::vector<int64_t> longs;    // Integer sums / long extremes.
+    std::vector<double> doubles;   // Double sums / double extremes.
+    std::vector<std::string> strings;  // String extremes.
+  };
+
+  /// The value word of a non-NULL string of `n` bytes at `at`, with
+  /// `tail` arena bytes from `at` on: its bytes when they fit in eight (one
+  /// load when eight bytes are there, masked to the length), else a hash.
+  static uint64_t BytesWord(const char* at, size_t n, size_t tail) {
+    if (n > sizeof(uint64_t)) return simd::HashBytes(at, n);
+    uint64_t word = 0;
+    if (tail >= sizeof(uint64_t)) {
+      std::memcpy(&word, at, sizeof(word));
+      return n == sizeof(uint64_t) ? word
+                                   : word & ((uint64_t{1} << (8 * n)) - 1);
+    }
+    std::memcpy(&word, at, n);
+    return word;
+  }
+
+  /// Writes key column k's two words for every selected row into
+  /// row_keys_ (row j's key starts at j * width_).
+  void FillKeyColumn(size_t k, const ColumnVector* col, const int* rows,
+                     int n) {
+    uint64_t* out = row_keys_.data() + 2 * k;
+    const size_t w = width_;
+    // A repeating column holds one value for the whole batch, in slot 0.
+    const int zeros[1] = {0};
+    const int count = col->is_repeating ? 1 : n;
+    if (col->is_repeating) rows = zeros;
+    const uint8_t* not_null = col->no_nulls ? nullptr : col->not_null.data();
+    auto is_null = [&](int i) { return not_null != nullptr && !not_null[i]; };
+    switch (col->kind()) {
+      case VectorKind::kLong: {
+        const int64_t* v =
+            static_cast<const LongColumnVector*>(col)->vector.data();
+        for (int j = 0; j < count; ++j) {
+          const int i = rows[j];
+          const bool null = is_null(i);
+          out[j * w] = null ? 0 : static_cast<uint64_t>(v[i]);
+          out[j * w + 1] = null ? kNullTag : 0;
+        }
+        break;
+      }
+      case VectorKind::kDouble: {
+        const double* v =
+            static_cast<const DoubleColumnVector*>(col)->vector.data();
+        for (int j = 0; j < count; ++j) {
+          const int i = rows[j];
+          const bool null = is_null(i);
+          out[j * w] = null ? 0 : std::bit_cast<uint64_t>(v[i]);
+          out[j * w + 1] = null ? kNullTag : 0;
+        }
+        break;
+      }
+      case VectorKind::kBytes: {
+        const auto* bytes = static_cast<const BytesColumnVector*>(col);
+        const char* arena = bytes->arena.data();
+        const size_t arena_size = bytes->arena.size();
+        const size_t* offset = bytes->offset.data();
+        const int32_t* length = bytes->length.data();
+        for (int j = 0; j < count; ++j) {
+          const int i = rows[j];
+          if (is_null(i)) {
+            out[j * w] = 0;
+            out[j * w + 1] = kNullTag;
+          } else {
+            const size_t n = static_cast<size_t>(length[i]);
+            out[j * w] =
+                BytesWord(arena + offset[i], n, arena_size - offset[i]);
+            out[j * w + 1] = n << 1;
+          }
+        }
+        break;
+      }
+    }
+    for (int j = count; j < n; ++j) {
+      out[j * w] = out[0];
+      out[j * w + 1] = out[1];
+    }
+  }
+
+  /// True when group g's key equals selected row j's (batch row `row`):
+  /// equal words, and equal bytes for strings longer than a word.
+  bool KeyEquals(const VectorizedRowBatch& batch, uint32_t g, int j,
+                 int row) const {
+    const uint64_t* group = group_keys_.data() + g * width_;
+    const uint64_t* key = row_keys_.data() + j * width_;
+    for (size_t w = 0; w < width_; ++w) {
+      if (group[w] != key[w]) return false;
+    }
+    for (size_t k = 0; k < keys_.size(); ++k) {
+      const size_t length = key[2 * k + 1] >> 1;
+      if (keys_[k].kind != VectorKind::kBytes || length <= sizeof(uint64_t)) {
+        continue;
+      }
+      const ColumnVector* col = batch.columns[key_columns_[k]].get();
+      std::string_view v = static_cast<const BytesColumnVector*>(col)->GetView(
+          col->is_repeating ? 0 : row);
+      if (std::memcmp(v.data(), keys_[k].arena.data() + keys_[k].offset[g],
+                      length) != 0) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// Fills group_ids_ for the selected rows, creating groups on first sight.
+  void AssignGroups(const VectorizedRowBatch& batch, const int* rows, int n) {
+    bool all_repeating = true;
+    for (int column : key_columns_) {
+      all_repeating = all_repeating && batch.columns[column]->is_repeating;
+    }
+    // Every row of an all-repeating key batch is in the first row's group.
+    const int probes = all_repeating ? 1 : n;
+    row_keys_.resize(static_cast<size_t>(probes) * width_);
+    for (size_t k = 0; k < keys_.size(); ++k) {
+      FillKeyColumn(k, batch.columns[key_columns_[k]].get(), rows, probes);
+    }
+    hashes_.resize(probes);
+    for (int j = 0; j < probes; ++j) {
+      const uint64_t* key = row_keys_.data() + j * width_;
+      uint64_t h = 0;
+      for (size_t w = 0; w < width_; ++w) {
+        h = (h ^ key[w]) * 0x9e3779b97f4a7c15ULL;
+      }
+      hashes_[j] = Mix64(h);
+    }
+    for (int j = 0; j < probes; ++j) {
+      const uint64_t h = hashes_[j];
+      const size_t mask = slots_.size() - 1;
+      size_t pos = static_cast<size_t>(h) & mask;
+      uint32_t g;
+      while (true) {
+        g = slots_[pos];
+        if (g == kEmptySlot) {
+          g = AddGroup();
+          group_hashes_.push_back(h);
+          StoreKey(batch, j, rows[j]);
+          slots_[pos] = g;
+          if (2 * static_cast<size_t>(num_groups_) > slots_.size()) Grow();
           break;
         }
-        case VectorKind::kDouble: {
-          out->push_back(2);
-          double v =
-              static_cast<const DoubleColumnVector*>(col)->vector[slot];
-          out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-          break;
-        }
-        case VectorKind::kBytes: {
-          out->push_back(3);
-          std::string_view v =
-              static_cast<const BytesColumnVector*>(col)->GetView(slot);
-          uint32_t len = static_cast<uint32_t>(v.size());
-          out->append(reinterpret_cast<const char*>(&len), sizeof(len));
-          out->append(v.data(), v.size());
-          break;
-        }
+        if (group_hashes_[g] == h && KeyEquals(batch, g, j, rows[j])) break;
+        pos = (pos + 1) & mask;
+      }
+      group_ids_[j] = g;
+    }
+    if (all_repeating) {
+      std::fill(group_ids_.begin(), group_ids_.end(), group_ids_[0]);
+    }
+  }
+
+  /// Records selected row j's key (batch row `row`) as the newest group's.
+  void StoreKey(const VectorizedRowBatch& batch, int j, int row) {
+    const uint64_t* key = row_keys_.data() + j * width_;
+    group_keys_.insert(group_keys_.end(), key, key + width_);
+    for (size_t k = 0; k < keys_.size(); ++k) {
+      KeyColumn& column = keys_[k];
+      if (column.kind != VectorKind::kBytes) continue;
+      column.offset.push_back(column.arena.size());
+      if (key[2 * k + 1] & kNullTag) continue;
+      const ColumnVector* col = batch.columns[key_columns_[k]].get();
+      column.arena.append(static_cast<const BytesColumnVector*>(col)->GetView(
+          col->is_repeating ? 0 : row));
+    }
+  }
+
+  /// Doubles the slot array and re-places every group from its stored hash.
+  void Grow() {
+    slots_.assign(slots_.size() * 2, kEmptySlot);
+    const size_t mask = slots_.size() - 1;
+    for (uint32_t g = 0; g < num_groups_; ++g) {
+      size_t pos = static_cast<size_t>(group_hashes_[g]) & mask;
+      while (slots_[pos] != kEmptySlot) pos = (pos + 1) & mask;
+      slots_[pos] = g;
+    }
+  }
+
+  uint32_t AddGroup() {
+    for (size_t a = 0; a < aggs_.size(); ++a) {
+      AggStates& s = states_[a];
+      s.count.push_back(0);
+      s.longs.push_back(0);
+      s.doubles.push_back(0);
+      if (aggs_[a].kind == AggKind::kMin || aggs_[a].kind == AggKind::kMax) {
+        s.strings.emplace_back();
+      }
+    }
+    return num_groups_++;
+  }
+
+  /// Calls f(j, slot) for every selected row j whose argument value at
+  /// `slot` is not NULL. Each vector shape (repeating, NULL-free, with
+  /// NULLs) has its own loop, so no loop tests the shape per row.
+  template <typename F>
+  static void ForEachValue(const ColumnVector* col, const int* rows, int n,
+                           F&& f) {
+    if (col->is_repeating) {
+      if (!col->no_nulls && !col->not_null[0]) return;
+      for (int j = 0; j < n; ++j) f(j, 0);
+    } else if (col->no_nulls) {
+      for (int j = 0; j < n; ++j) f(j, rows[j]);
+    } else {
+      const uint8_t* not_null = col->not_null.data();
+      for (int j = 0; j < n; ++j) {
+        const int i = rows[j];
+        if (not_null[i]) f(j, i);
       }
     }
   }
 
-  /// Group-by keys hash through the SIMD layer: 4-lane mixing (AVX2 when
-  /// available) beats std::hash's byte-at-a-time loop on multi-column keys.
-  /// The hash only places entries in buckets, so either dispatch arm yields
-  /// identical aggregation results.
-  struct KeyHash {
-    size_t operator()(const std::string& key) const {
-      return static_cast<size_t>(
-          simd::HashBytes(reinterpret_cast<const uint8_t*>(key.data()),
-                          key.size()));
+  void UpdateAggregate(const AggSpec& spec, const ColumnVector* col,
+                       const int* rows, int n, AggStates* s) {
+    const uint32_t* gid = group_ids_.data();
+    int64_t* count = s->count.data();
+    switch (spec.kind) {
+      case AggKind::kCountStar:
+        for (int j = 0; j < n; ++j) ++count[gid[j]];
+        return;
+      case AggKind::kCount:
+        ForEachValue(col, rows, n, [&](int j, int) { ++count[gid[j]]; });
+        return;
+      case AggKind::kSum:
+      case AggKind::kAvg: {
+        if (!spec.sums_double) {
+          const int64_t* v =
+              static_cast<const LongColumnVector*>(col)->vector.data();
+          int64_t* sum = s->longs.data();
+          ForEachValue(col, rows, n, [&](int j, int i) {
+            const uint32_t g = gid[j];
+            sum[g] = static_cast<int64_t>(static_cast<uint64_t>(sum[g]) +
+                                          static_cast<uint64_t>(v[i]));
+            ++count[g];
+          });
+        } else if (col->kind() == VectorKind::kLong) {
+          const int64_t* v =
+              static_cast<const LongColumnVector*>(col)->vector.data();
+          double* sum = s->doubles.data();
+          ForEachValue(col, rows, n, [&](int j, int i) {
+            const uint32_t g = gid[j];
+            sum[g] += static_cast<double>(v[i]);
+            ++count[g];
+          });
+        } else {
+          const double* v =
+              static_cast<const DoubleColumnVector*>(col)->vector.data();
+          double* sum = s->doubles.data();
+          ForEachValue(col, rows, n, [&](int j, int i) {
+            const uint32_t g = gid[j];
+            sum[g] += v[i];
+            ++count[g];
+          });
+        }
+        return;
+      }
+      case AggKind::kMin:
+      case AggKind::kMax:
+        if (spec.kind == AggKind::kMin) {
+          UpdateExtreme(col, rows, n, s, std::less<>());
+        } else {
+          UpdateExtreme(col, rows, n, s, std::greater<>());
+        }
+        return;
     }
-  };
+  }
+
+  /// MIN/MAX with typed state: a value replaces the extreme only when
+  /// `better(value, extreme)`, so ties and NaNs keep the first value seen,
+  /// as Value::Compare does on boxed values.
+  template <typename Better>
+  void UpdateExtreme(const ColumnVector* col, const int* rows, int n,
+                     AggStates* s, Better better) {
+    const uint32_t* gid = group_ids_.data();
+    int64_t* count = s->count.data();
+    switch (col->kind()) {
+      case VectorKind::kLong: {
+        const int64_t* v =
+            static_cast<const LongColumnVector*>(col)->vector.data();
+        int64_t* ext = s->longs.data();
+        ForEachValue(col, rows, n, [&](int j, int i) {
+          const uint32_t g = gid[j];
+          if (count[g]++ == 0 || better(v[i], ext[g])) ext[g] = v[i];
+        });
+        return;
+      }
+      case VectorKind::kDouble: {
+        const double* v =
+            static_cast<const DoubleColumnVector*>(col)->vector.data();
+        double* ext = s->doubles.data();
+        ForEachValue(col, rows, n, [&](int j, int i) {
+          const uint32_t g = gid[j];
+          if (count[g]++ == 0 || better(v[i], ext[g])) ext[g] = v[i];
+        });
+        return;
+      }
+      case VectorKind::kBytes: {
+        const auto* bytes = static_cast<const BytesColumnVector*>(col);
+        std::string* ext = s->strings.data();
+        ForEachValue(col, rows, n, [&](int j, int i) {
+          const uint32_t g = gid[j];
+          std::string_view x = bytes->GetView(i);
+          if (count[g]++ == 0 || better(x, std::string_view(ext[g]))) {
+            ext[g].assign(x);
+          }
+        });
+        return;
+      }
+    }
+  }
+
+  static void EmitState(const AggSpec& spec, const AggStates& s, uint32_t g,
+                        Row* out) {
+    switch (spec.kind) {
+      case AggKind::kCountStar:
+      case AggKind::kCount:
+        out->push_back(Value::Int(s.count[g]));
+        break;
+      case AggKind::kSum:
+        if (s.count[g] == 0) {
+          out->push_back(Value::Null());
+        } else if (spec.sums_double) {
+          out->push_back(Value::Double(s.doubles[g]));
+        } else {
+          out->push_back(Value::Int(s.longs[g]));
+        }
+        break;
+      case AggKind::kAvg:
+        out->push_back(s.count[g] > 0 ? Value::Double(s.doubles[g])
+                                      : Value::Null());
+        out->push_back(Value::Int(s.count[g]));
+        break;
+      case AggKind::kMin:
+      case AggKind::kMax:
+        if (s.count[g] == 0) {
+          out->push_back(Value::Null());
+        } else if (s.arg_kind == VectorKind::kLong) {
+          out->push_back(Value::Int(s.longs[g]));
+        } else if (s.arg_kind == VectorKind::kDouble) {
+          out->push_back(Value::Double(s.doubles[g]));
+        } else {
+          out->push_back(Value::String(s.strings[g]));
+        }
+        break;
+    }
+  }
 
   std::vector<int> key_columns_;
-  std::vector<TypeKind> key_types_;
+  std::vector<KeyColumn> keys_;
+  size_t width_;  // Words per flattened key: two per key column.
   std::vector<AggSpec> aggs_;
-  std::unordered_map<std::string, Entry, KeyHash> table_;
-  std::string key_scratch_;
+  std::vector<AggStates> states_;
+  uint32_t num_groups_ = 0;
+  std::vector<uint64_t> group_keys_;    // Per group: its flattened key.
+  std::vector<uint64_t> group_hashes_;  // Per group: its key hash.
+  std::vector<uint32_t> slots_;         // Open addressing: group id or empty.
+  // Per-batch scratch, indexed by position in the selected rows.
+  std::vector<uint64_t> row_keys_;  // Flattened keys, width_ words a row.
+  std::vector<uint64_t> hashes_;
+  std::vector<uint32_t> group_ids_;
+  std::vector<int> identity_;  // 0..n-1, the rows of an unfiltered batch.
 };
 
 /// The validated pipeline shape: scan -> filters* -> [select | groupby] ->
@@ -353,7 +650,6 @@ Status RunVectorizedMapPipeline(const exec::OpDesc* scan_root,
   std::vector<std::unique_ptr<VectorExpression>> expressions;
   std::vector<int> select_columns;  // Batch columns of select outputs.
   std::vector<TypeKind> select_types;
-  std::unique_ptr<VectorHashAggregator> aggregator;
   if (shape.select != nullptr) {
     for (const ExprPtr& e : shape.select->projections) {
       int out;
@@ -365,9 +661,10 @@ Status RunVectorizedMapPipeline(const exec::OpDesc* scan_root,
       select_types.push_back(e->result_type());
     }
   }
+  std::vector<int> key_columns;
+  std::vector<TypeKind> key_types;
+  std::vector<VectorHashAggregator::AggSpec> specs;
   if (shape.gby != nullptr) {
-    std::vector<int> key_columns;
-    std::vector<TypeKind> key_types;
     for (const ExprPtr& e : shape.gby->group_keys) {
       int out;
       MINIHIVE_ASSIGN_OR_RETURN(
@@ -377,7 +674,6 @@ Status RunVectorizedMapPipeline(const exec::OpDesc* scan_root,
       key_columns.push_back(out);
       key_types.push_back(e->result_type());
     }
-    std::vector<VectorHashAggregator::AggSpec> specs;
     for (const AggDesc& agg : shape.gby->aggs) {
       VectorHashAggregator::AggSpec spec;
       spec.kind = agg.kind;
@@ -388,7 +684,6 @@ Status RunVectorizedMapPipeline(const exec::OpDesc* scan_root,
             compiler.CompileProjection(*agg.arg->RemapColumns(mapping), &out));
         expressions.push_back(std::move(compiled));
         spec.arg_column = out;
-        spec.arg_type = agg.arg->result_type();
         spec.sums_double = IsFloatingFamily(agg.arg->result_type()) ||
                            agg.kind == AggKind::kAvg;
       } else if (agg.kind != AggKind::kCountStar) {
@@ -396,8 +691,14 @@ Status RunVectorizedMapPipeline(const exec::OpDesc* scan_root,
       }
       specs.push_back(spec);
     }
+  }
+  std::unique_ptr<VectorizedRowBatch> batch =
+      MakeBatchFor(compiler.column_types(), kDefaultBatchSize);
+  std::unique_ptr<VectorHashAggregator> aggregator;
+  if (shape.gby != nullptr) {
     aggregator = std::make_unique<VectorHashAggregator>(
-        std::move(key_columns), std::move(key_types), std::move(specs));
+        *batch, std::move(key_columns), std::move(key_types),
+        std::move(specs));
   }
 
   // ---- Terminal: reuse the row-mode operator (ReduceSink / FileSink).
@@ -420,8 +721,6 @@ Status RunVectorizedMapPipeline(const exec::OpDesc* scan_root,
   MINIHIVE_ASSIGN_OR_RETURN(
       std::unique_ptr<orc::OrcReader> reader,
       orc::OrcReader::Open(ctx->fs, split.path, read_options));
-  std::unique_ptr<VectorizedRowBatch> batch =
-      MakeBatchFor(compiler.column_types(), kDefaultBatchSize);
 
   // Per-operator profiling slots (EnableProfiling); null when off.
   exec::OperatorStats* scan_stats = nullptr;

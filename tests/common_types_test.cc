@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/crc32.h"
+
 namespace minihive {
 namespace {
 
@@ -52,6 +56,47 @@ TEST(TypeKindTest, Families) {
   EXPECT_TRUE(IsFloatingFamily(TypeKind::kFloat));
   EXPECT_FALSE(IsPrimitive(TypeKind::kMap));
   EXPECT_TRUE(IsPrimitive(TypeKind::kString));
+}
+
+TEST(Crc32Test, KnownAnswer) {
+  EXPECT_EQ(Crc32(""), 0u);
+  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(Crc32Scalar("123456789"), 0xCBF43926u);
+}
+
+TEST(Crc32Test, FoldedArmMatchesSliceBy8) {
+  // Every length 0..4096 at every alignment 0..15. Without the folding arm
+  // (compiled out or no PCLMULQDQ) both calls take slice-by-8.
+  std::string buf(4096 + 16, '\0');
+  uint64_t x = 0x9e3779b97f4a7c15ULL;
+  for (char& c : buf) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    c = static_cast<char>(x >> 56);
+  }
+  for (size_t align = 0; align < 16; ++align) {
+    for (size_t n = 0; n <= 4096; ++n) {
+      std::string_view data(buf.data() + align, n);
+      ASSERT_EQ(Crc32(data), Crc32Scalar(data))
+          << "align " << align << " length " << n;
+    }
+  }
+}
+
+TEST(Crc32Test, ChainedSeedsMatch) {
+  std::string buf(3000, '\0');
+  for (size_t i = 0; i < buf.size(); ++i) buf[i] = static_cast<char>(i * 131);
+  const std::string_view all(buf);
+  const uint32_t whole = Crc32Scalar(all);
+  for (size_t cut : {0, 1, 15, 63, 64, 65, 1000, 2999, 3000}) {
+    const uint32_t head = Crc32(all.substr(0, cut));
+    EXPECT_EQ(Crc32(all.substr(cut), head), whole) << "cut " << cut;
+    EXPECT_EQ(Crc32Scalar(all.substr(cut), Crc32Scalar(all.substr(0, cut))),
+              whole)
+        << "cut " << cut;
+  }
+  for (uint32_t seed : {0u, 1u, 0xFFFFFFFFu, 0xDEADBEEFu}) {
+    EXPECT_EQ(Crc32(all, seed), Crc32Scalar(all, seed)) << "seed " << seed;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bytes.h"
 #include "common/random.h"
 #include "formats/rcfile.h"
 
@@ -199,6 +200,60 @@ TEST(RcFileTest, ComplexTypesStoredWhole) {
   Row out;
   ASSERT_TRUE(*reader->Next(&out));
   EXPECT_EQ(out[1].Compare(row[1]), 0);
+}
+
+TEST(RcFileTest, HugeRawLengthIsRejectedBeforeAllocating) {
+  dfs::FileSystem fs;
+  const FileFormat* format = GetFileFormat(FormatKind::kRcFile);
+  TypePtr schema = Schema();
+  WriterOptions options;
+  options.compression = codec::CompressionKind::kFastLz;
+  {
+    auto writer = std::move(format->CreateWriter(&fs, "/t/raw", schema,
+                                                 options))
+                      .ValueOrDie();
+    Random rng(5);
+    for (int i = 0; i < 500; ++i) {
+      ASSERT_TRUE(writer->AddRow(MakeRow(i, &rng)).ok());
+    }
+    ASSERT_TRUE(writer->Close().ok());
+  }
+  std::string file;
+  {
+    auto in = std::move(fs.Open("/t/raw")).ValueOrDie();
+    ASSERT_TRUE(in->ReadAt(0, in->Size(), &file).ok());
+  }
+  // The first row group follows the 8-byte magic, the codec byte and the
+  // 16-byte sync marker: a 0 escape, the marker again, the row and column
+  // counts, then (stored_len, raw_len) per column.
+  ByteReader header(std::string_view(file).substr(8 + 1 + 16));
+  uint64_t value;
+  std::string_view marker;
+  ASSERT_TRUE(header.GetVarint64(&value).ok());
+  ASSERT_EQ(value, 0u);
+  ASSERT_TRUE(header.GetBytes(16, &marker).ok());
+  ASSERT_TRUE(header.GetVarint64(&value).ok());  // Rows.
+  ASSERT_TRUE(header.GetVarint64(&value).ok());  // Columns.
+  ASSERT_TRUE(header.GetVarint64(&value).ok());  // Column 0 stored_len.
+  const size_t raw_len_at = 8 + 1 + 16 + header.position();
+  ASSERT_TRUE(header.GetVarint64(&value).ok());  // Column 0 raw_len.
+  const size_t raw_len_end = 8 + 1 + 16 + header.position();
+  std::string corrupt = file.substr(0, raw_len_at);
+  PutVarint64(&corrupt, uint64_t{1} << 50);
+  corrupt += file.substr(raw_len_end);
+  ASSERT_TRUE(fs.Delete("/t/raw").ok());
+  {
+    auto out = std::move(fs.Create("/t/raw")).ValueOrDie();
+    ASSERT_TRUE(out->Append(corrupt).ok());
+    ASSERT_TRUE(out->Close().ok());
+  }
+  auto reader =
+      std::move(format->OpenReader(&fs, "/t/raw", schema, ReadOptions()))
+          .ValueOrDie();
+  Row row;
+  Result<bool> more = reader->Next(&row);
+  ASSERT_FALSE(more.ok());
+  EXPECT_TRUE(more.status().IsCorruption()) << more.status().ToString();
 }
 
 }  // namespace

@@ -335,6 +335,31 @@ TEST(OrcCorruptionTest, StreamColumnOutsideSchemaIsRejected) {
   ExpectRejected(&fs, sections);
 }
 
+TEST(OrcCorruptionTest, UnknownStreamKindIsRejected) {
+  // An unknown kind would bind to no stream slot, leaving the column
+  // without the data stream its decode dereferences.
+  dfs::FileSystem fs;
+  StripeSections sections = WriteOneStripe(&fs);
+  ASSERT_EQ(sections.footer.streams[0].kind, StreamKind::kData);
+  sections.footer.streams[0].kind = static_cast<StreamKind>(9);
+  ExpectRejected(&fs, sections);
+}
+
+TEST(OrcCorruptionTest, ColumnMissingARequiredStreamIsRejected) {
+  // Drop the stripe's last stream (the score column's data) from the
+  // directory and the row index alike: every other stream keeps its
+  // offset, so only the per-column stream check can catch the gap.
+  dfs::FileSystem fs;
+  StripeSections sections = WriteOneStripe(&fs);
+  const StreamInfo last = sections.footer.streams.back();
+  ASSERT_EQ(last.kind, StreamKind::kData);
+  ASSERT_EQ(last.column, 3u);
+  sections.footer.streams.pop_back();
+  sections.index.segment_ends.pop_back();
+  sections.index.segment_crcs.pop_back();
+  ExpectRejected(&fs, sections);
+}
+
 TEST(OrcCorruptionTest, FooterColumnCountMismatchIsRejected) {
   dfs::FileSystem fs;
   StripeSections sections = WriteOneStripe(&fs);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -248,6 +250,214 @@ TEST(IntRleTest, ConcatenatedGroupsDecodeSequentially) {
   std::vector<int64_t> expected = g1;
   expected.insert(expected.end(), g2.begin(), g2.end());
   EXPECT_EQ(out, expected);
+}
+
+// ------------------------------------------------ Bulk decode vs per value
+
+/// A random integer sequence of constant runs, delta runs (some wrapping
+/// past INT64_MAX / INT64_MIN) and literal groups of small and full-width
+/// values.
+std::vector<int64_t> RandomIntPattern(Random* rng, int segments) {
+  std::vector<int64_t> v;
+  for (int s = 0; s < segments; ++s) {
+    const size_t n = rng->Uniform(300) + 1;
+    switch (rng->Uniform(5)) {
+      case 0: {  // Constant run.
+        const int64_t base = rng->Range(-100, 100);
+        v.insert(v.end(), n, base);
+        break;
+      }
+      case 1: {  // Delta run.
+        const int64_t base = rng->Range(-1000000, 1000000);
+        const int64_t delta = rng->Range(-128, 127);
+        for (size_t i = 0; i < n; ++i) v.push_back(base + delta * int64_t(i));
+        break;
+      }
+      case 2: {  // Delta run that wraps at an INT64 extreme.
+        const int64_t delta = rng->Range(1, 127);
+        const bool up = rng->Bernoulli(0.5);
+        uint64_t x = up ? static_cast<uint64_t>(INT64_MAX) - 3 * delta
+                        : static_cast<uint64_t>(INT64_MIN) + 3 * delta;
+        for (size_t i = 0; i < n; ++i) {
+          v.push_back(static_cast<int64_t>(x));
+          x = up ? x + delta : x - delta;
+        }
+        break;
+      }
+      case 3:  // Literals: one-byte varints.
+        for (size_t i = 0; i < n; ++i) v.push_back(rng->Range(-64, 63));
+        break;
+      default:  // Literals: full-width varints.
+        for (size_t i = 0; i < n; ++i) {
+          v.push_back(static_cast<int64_t>(rng->Next()));
+        }
+    }
+  }
+  return v;
+}
+
+std::string EncodeInts(const std::vector<int64_t>& values) {
+  IntRleEncoder encoder;
+  for (int64_t v : values) encoder.Add(v);
+  std::string encoded;
+  encoder.Finish(&encoded);
+  return encoded;
+}
+
+TEST(IntRleBulkTest, NextBatchEqualsPerValueNext) {
+  Random rng(4242);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::vector<int64_t> values = RandomIntPattern(&rng, 30);
+    const std::string encoded = EncodeInts(values);
+    IntRleDecoder reference(encoded);
+    std::vector<int64_t> expected(values.size());
+    for (int64_t& v : expected) ASSERT_TRUE(reference.Next(&v).ok());
+    EXPECT_TRUE(reference.AtEnd());
+    ASSERT_EQ(expected, values);
+    // Batch sizes from 1 to 400 straddle run and literal boundaries.
+    IntRleDecoder bulk(encoded);
+    std::vector<int64_t> got(values.size());
+    for (size_t at = 0; at < got.size();) {
+      const size_t n = std::min<size_t>(rng.Uniform(400) + 1, got.size() - at);
+      ASSERT_TRUE(bulk.NextBatch(got.data() + at, n).ok());
+      at += n;
+    }
+    EXPECT_TRUE(bulk.AtEnd());
+    EXPECT_EQ(got, expected) << "trial " << trial;
+  }
+}
+
+TEST(IntRleBulkTest, MixedNextAndNextBatchStayInStep) {
+  Random rng(99);
+  const std::vector<int64_t> values = RandomIntPattern(&rng, 50);
+  const std::string encoded = EncodeInts(values);
+  IntRleDecoder dec(encoded);
+  std::vector<int64_t> got(values.size());
+  for (size_t at = 0; at < got.size();) {
+    if (rng.Bernoulli(0.5)) {
+      ASSERT_TRUE(dec.Next(&got[at]).ok());
+      ++at;
+    } else {
+      const size_t n = std::min<size_t>(rng.Uniform(200) + 1, got.size() - at);
+      ASSERT_TRUE(dec.NextBatch(got.data() + at, n).ok());
+      at += n;
+    }
+  }
+  EXPECT_EQ(got, values);
+}
+
+TEST(IntRleBulkTest, TruncatedStreamIsCorruption) {
+  Random rng(7);
+  const std::vector<int64_t> values = RandomIntPattern(&rng, 12);
+  const std::string encoded = EncodeInts(values);
+  std::vector<int64_t> out(values.size());
+  for (size_t cut = 0; cut < encoded.size(); ++cut) {
+    IntRleDecoder bulk(std::string_view(encoded).substr(0, cut));
+    Status s = bulk.NextBatch(out.data(), out.size());
+    EXPECT_TRUE(s.IsCorruption()) << "cut " << cut << ": " << s.ToString();
+  }
+}
+
+TEST(IntRleBulkTest, OverlongVarintIsCorruption) {
+  // A one-value literal group whose varint runs 11 bytes: past the 10 a
+  // 64-bit value can take.
+  std::string encoded(1, static_cast<char>(-1));
+  encoded.append(10, static_cast<char>(0x81));
+  encoded.push_back(0x01);
+  int64_t v;
+  IntRleDecoder bulk(encoded);
+  EXPECT_TRUE(bulk.NextBatch(&v, 1).IsCorruption());
+  IntRleDecoder single(encoded);
+  EXPECT_TRUE(single.Next(&v).IsCorruption());
+  // The same value at 10 bytes still decodes.
+  std::string ten(1, static_cast<char>(-1));
+  ten.append(9, static_cast<char>(0x81));
+  ten.push_back(0x01);
+  IntRleDecoder ok(ten);
+  EXPECT_TRUE(ok.NextBatch(&v, 1).ok());
+}
+
+TEST(RunLengthByteBulkTest, NextBatchEqualsPerValueNext) {
+  Random rng(31);
+  std::vector<uint8_t> values;
+  for (int i = 0; i < 3000; ++i) {
+    const uint8_t b = static_cast<uint8_t>(rng.Next());
+    const size_t n = rng.Bernoulli(0.4) ? rng.Uniform(200) + 1 : 1;
+    values.insert(values.end(), n, b);
+  }
+  RunLengthByteEncoder encoder;
+  for (uint8_t b : values) encoder.Add(b);
+  std::string encoded;
+  encoder.Finish(&encoded);
+  RunLengthByteDecoder bulk(encoded);
+  std::vector<uint8_t> got(values.size());
+  for (size_t at = 0; at < got.size();) {
+    const size_t n = std::min<size_t>(rng.Uniform(300) + 1, got.size() - at);
+    ASSERT_TRUE(bulk.NextBatch(got.data() + at, n).ok());
+    at += n;
+  }
+  EXPECT_TRUE(bulk.AtEnd());
+  EXPECT_EQ(got, values);
+  uint8_t extra;
+  EXPECT_TRUE(bulk.NextBatch(&extra, 1).IsCorruption());
+}
+
+TEST(BitFieldBulkTest, ByteWiseEqualsPerBit) {
+  Random rng(17);
+  for (int trial = 0; trial < 30; ++trial) {
+    std::vector<bool> bits;
+    const size_t segments = rng.Uniform(40) + 1;
+    for (size_t s = 0; s < segments; ++s) {
+      const size_t n = rng.Uniform(500) + 1;
+      const int mode = static_cast<int>(rng.Uniform(3));
+      for (size_t i = 0; i < n; ++i) {
+        bits.push_back(mode == 2 ? rng.Bernoulli(0.5) : mode == 0);
+      }
+    }
+    BitFieldEncoder encoder;
+    for (bool b : bits) encoder.Add(b);
+    std::string encoded;
+    encoder.Finish(&encoded);
+    BitFieldDecoder per_bit(encoded);
+    std::vector<uint8_t> expected(bits.size());
+    for (uint8_t& e : expected) {
+      bool b;
+      ASSERT_TRUE(per_bit.Next(&b).ok());
+      e = b ? 1 : 0;
+    }
+    // Chunks from 1 to 100 bits start and end mid-byte.
+    BitFieldDecoder bulk(encoded);
+    std::vector<uint8_t> got(bits.size());
+    for (size_t at = 0; at < got.size();) {
+      const size_t n = std::min<size_t>(rng.Uniform(100) + 1, got.size() - at);
+      ASSERT_TRUE(bulk.NextBatch(got.data() + at, n).ok());
+      at += n;
+    }
+    EXPECT_EQ(got, expected) << "trial " << trial;
+    for (size_t i = 0; i < bits.size(); ++i) ASSERT_EQ(got[i] != 0, bits[i]);
+  }
+}
+
+TEST(BitFieldBulkTest, ConcatenatedGroupsDecodeWithAlign) {
+  const std::vector<bool> g1 = {true, false, true, true, false,
+                                true, false, true, true, true};
+  const std::vector<bool> g2 = {false, true, true};
+  std::string encoded;
+  for (const auto* group : {&g1, &g2}) {
+    BitFieldEncoder enc;
+    for (bool b : *group) enc.Add(b);
+    enc.Finish(&encoded);
+  }
+  BitFieldDecoder dec(encoded);
+  std::vector<uint8_t> got(g1.size());
+  ASSERT_TRUE(dec.NextBatch(got.data(), got.size()).ok());
+  for (size_t i = 0; i < g1.size(); ++i) EXPECT_EQ(got[i] != 0, g1[i]);
+  dec.AlignToByte();
+  got.assign(g2.size(), 0);
+  ASSERT_TRUE(dec.NextBatch(got.data(), got.size()).ok());
+  for (size_t i = 0; i < g2.size(); ++i) EXPECT_EQ(got[i] != 0, g2[i]);
+  uint8_t extra[9];
+  EXPECT_TRUE(dec.NextBatch(extra, 9).IsCorruption());
 }
 
 }  // namespace

@@ -45,7 +45,7 @@ int Main() {
   std::printf("=== Figure 11(b): Q95-shaped query under planner configs ===\n\n");
 
   datagen::TpcdsOptions options;
-  options.store_sales_rows = 300000;
+  options.store_sales_rows = bench::SmokeScaled<uint64_t>(300000, 20000);
   Check(datagen::LoadTpcds(&catalog, "tpcds", options), "tpcds");
 
   struct Config {
@@ -59,8 +59,9 @@ int Main() {
       {"w/o UM, CO=on (fully optimized)", true, true},
   };
   double elapsed[3];
-  int jobs[3];
+  int jobs[3], map_only[3];
   size_t rows[3];
+  std::vector<Row> results[3];
   for (int c = 0; c < 3; ++c) {
     ql::DriverOptions driver_options;
     driver_options.mapjoin_conversion = true;
@@ -77,10 +78,11 @@ int Main() {
     ql::QueryResult result = CheckResult(driver.Execute(kQ95), "q95");
     elapsed[c] = watch.ElapsedMillis();
     jobs[c] = result.num_jobs;
+    map_only[c] = result.num_map_only_jobs;
     rows[c] = result.rows.size();
+    results[c] = result.rows;
     std::printf("  %-34s elapsed %8.0f ms   jobs=%d (map-only=%d) rows=%zu\n",
-                configs[c].label, elapsed[c], jobs[c],
-                result.num_map_only_jobs, rows[c]);
+                configs[c].label, elapsed[c], jobs[c], map_only[c], rows[c]);
     std::printf("  %-34s shuffled %s MB  sort %s ms  combine %llu -> %llu\n",
                 "", bench::Mb(result.counters.shuffled_bytes.load()).c_str(),
                 bench::Fmt(result.counters.shuffle_sort_millis(), 1).c_str(),
@@ -96,20 +98,22 @@ int Main() {
     std::string prefix = std::string(keys[c]) + ".";
     reporter.AddMetric(prefix + "elapsed_ms", elapsed[c], "ms");
     reporter.AddMetric(prefix + "jobs", jobs[c], "count");
+    reporter.AddMetric(prefix + "map_only_jobs", map_only[c], "count");
     reporter.AddMetric(prefix + "result_rows", static_cast<double>(rows[c]),
                        "rows");
   }
   reporter.Write();
 
+  const bool same = bench::SameRows(results[0], results[1]) &&
+                    bench::SameRows(results[0], results[2]);
   std::printf("\nshape checks:\n");
-  std::printf("  identical results across configs: %s\n",
-              rows[0] == rows[1] && rows[1] == rows[2] ? "yes" : "NO");
+  std::printf("  identical results across configs: %s\n", same ? "yes" : "NO");
   std::printf("  job counts fall: %d -> %d -> %d (paper: 8 -> 5 -> 2)\n",
               jobs[0], jobs[1], jobs[2]);
   std::printf("  CO speedup: %.2fx (paper: ~2.57x)\n", elapsed[0] / elapsed[1]);
   std::printf("  CO + UM-elimination speedup: %.2fx (paper: ~2.92x)\n",
               elapsed[0] / elapsed[2]);
-  return 0;
+  return same ? 0 : 1;
 }
 
 }  // namespace

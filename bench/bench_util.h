@@ -1,6 +1,7 @@
 #ifndef MINIHIVE_BENCH_BENCH_UTIL_H_
 #define MINIHIVE_BENCH_BENCH_UTIL_H_
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "common/telemetry.h"
+#include "common/value.h"
 #include "mr/engine.h"
 
 // Git/build metadata; the bench CMakeLists defines these at configure time.
@@ -96,6 +98,36 @@ inline std::string Fmt(double v, int decimals = 2) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
   return buf;
+}
+
+/// True when two query results hold the same rows in any order. Doubles
+/// agree to a relative 1e-9: plans that split an aggregate differently sum
+/// its partials in another order.
+inline bool SameRows(std::vector<Row> a, std::vector<Row> b) {
+  if (a.size() != b.size()) return false;
+  auto less = [](const Row& x, const Row& y) {
+    return std::lexicographical_compare(
+        x.begin(), x.end(), y.begin(), y.end(),
+        [](const Value& u, const Value& v) { return u.Compare(v) < 0; });
+  };
+  std::sort(a.begin(), a.end(), less);
+  std::sort(b.begin(), b.end(), less);
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].size() != b[i].size()) return false;
+    for (size_t c = 0; c < a[i].size(); ++c) {
+      const Value& u = a[i][c];
+      const Value& v = b[i][c];
+      if (u.is_double() && v.is_double()) {
+        const double x = u.AsDouble(), y = v.AsDouble();
+        if (std::abs(x - y) > 1e-9 * std::max(std::abs(x), std::abs(y))) {
+          return false;
+        }
+      } else if (u.Compare(v) != 0) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 /// True when MINIHIVE_BENCH_SMOKE is set (to anything but "0"): benches

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 namespace minihive {
 
@@ -27,10 +28,15 @@ uint64_t HashBytes(const std::string& s) {
   return Mix64(h);
 }
 
+/// A total order on doubles: NaN (of any sign or payload) sorts after
+/// every number and equals only NaN, so sorting and grouping stay
+/// consistent; -0.0 equals 0.0.
 int CompareDoubles(double a, double b) {
   if (a < b) return -1;
   if (a > b) return 1;
-  return 0;
+  const bool a_nan = std::isnan(a);
+  const bool b_nan = std::isnan(b);
+  return a_nan == b_nan ? 0 : (a_nan ? 1 : -1);
 }
 
 }  // namespace
@@ -132,7 +138,9 @@ uint64_t Value::Hash() const {
   if (is_double()) {
     double d = std::get<double>(data_);
     // Hash integral doubles like their integer counterparts so that numeric
-    // equality implies hash equality (Compare() treats 3 == 3.0).
+    // equality implies hash equality (Compare() treats 3 == 3.0), and every
+    // NaN alike (Compare() finds them equal).
+    if (std::isnan(d)) d = std::numeric_limits<double>::quiet_NaN();
     if (d == std::floor(d) && std::abs(d) < 9.2e18) {
       return Mix64(static_cast<uint64_t>(static_cast<int64_t>(d)));
     }

@@ -85,7 +85,9 @@ class Value {
   }
 
   /// Total ordering used by the shuffle's sort: NULL first, then by value.
-  /// Numeric kinds compare numerically across int/double.
+  /// Numeric kinds compare numerically across int/double; NaN sorts after
+  /// every number and equals only NaN (SQL comparison operators instead
+  /// follow IEEE semantics, see exec::Expr).
   int Compare(const Value& other) const;
 
   bool operator==(const Value& other) const { return Compare(other) == 0; }

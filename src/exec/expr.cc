@@ -1,6 +1,7 @@
 #include "exec/expr.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace minihive::exec {
 
@@ -18,6 +19,8 @@ int ToTri(const Value& v) { return v.is_null() ? 1 : (v.AsBool() ? 2 : 0); }
 Value FromTri(int t) {
   return t == 1 ? Value::Null() : Value::Bool(t == 2);
 }
+
+bool IsNaN(const Value& v) { return v.is_double() && std::isnan(v.AsDouble()); }
 
 }  // namespace
 
@@ -113,6 +116,8 @@ Value Expr::Eval(const Row& row) const {
       Value a = children_[0]->Eval(row);
       Value b = children_[1]->Eval(row);
       if (a.is_null() || b.is_null()) return Value::Null();
+      // IEEE semantics, as the vectorized kernels: NaN fails all but !=.
+      if (IsNaN(a) || IsNaN(b)) return Value::Bool(kind_ == ExprKind::kNe);
       int c = a.Compare(b);
       switch (kind_) {
         case ExprKind::kEq: return Value::Bool(c == 0);
@@ -150,6 +155,7 @@ Value Expr::Eval(const Row& row) const {
       Value lo = children_[1]->Eval(row);
       Value hi = children_[2]->Eval(row);
       if (v.is_null() || lo.is_null() || hi.is_null()) return Value::Null();
+      if (IsNaN(v) || IsNaN(lo) || IsNaN(hi)) return Value::Bool(false);
       return Value::Bool(v.Compare(lo) >= 0 && v.Compare(hi) <= 0);
     }
     case ExprKind::kIn: {
@@ -160,7 +166,7 @@ Value Expr::Eval(const Row& row) const {
         Value item = children_[i]->Eval(row);
         if (item.is_null()) {
           saw_null = true;
-        } else if (v.Compare(item) == 0) {
+        } else if (!IsNaN(v) && !IsNaN(item) && v.Compare(item) == 0) {
           return Value::Bool(true);
         }
       }

@@ -42,7 +42,10 @@ using ExprPtr = std::shared_ptr<Expr>;
 ///
 /// NULL semantics follow SQL three-valued logic: comparisons and arithmetic
 /// on NULL yield NULL; AND/OR use Kleene logic; FilterOperator forwards a
-/// row only when its predicate is exactly TRUE.
+/// row only when its predicate is exactly TRUE. Comparisons, BETWEEN and IN
+/// on a NaN operand follow IEEE semantics (false, except != is true), as the
+/// vectorized filter kernels do; Value::Compare's total order, which puts
+/// NaN after every number, serves sorting and grouping only.
 class Expr {
  public:
   static ExprPtr Column(int index, TypeKind type);

@@ -1,6 +1,8 @@
 #include "exec/operators.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
 
 #include "common/bytes.h"
@@ -19,32 +21,42 @@ std::string AttemptPartName(const std::string& prefix,
   return prefix + "/_attempt-" + std::to_string(attempt) + "-" + task_suffix;
 }
 
+namespace {
+
+void AppendKeyBytes(const Value& v, std::string* out) {
+  if (v.is_null()) {
+    out->push_back(0);
+  } else if (v.is_int()) {
+    out->push_back(1);
+    PutVarintSigned64(out, v.AsInt());
+  } else if (v.is_double()) {
+    const double d = v.AsDouble();
+    if (std::isnan(d)) {
+      // Every NaN is one key, as Value::Compare finds them equal.
+      out->push_back(2);
+      PutDoubleBits(out, std::numeric_limits<double>::quiet_NaN());
+    } else if (d == static_cast<int64_t>(d)) {
+      // Integral doubles serialize like ints so 3 == 3.0 joins correctly.
+      out->push_back(1);
+      PutVarintSigned64(out, static_cast<int64_t>(d));
+    } else {
+      out->push_back(2);
+      PutDoubleBits(out, d);
+    }
+  } else if (v.is_string()) {
+    out->push_back(3);
+    PutLengthPrefixed(out, v.AsString());
+  } else {
+    out->push_back(4);
+    PutLengthPrefixed(out, v.ToString());
+  }
+}
+
+}  // namespace
+
 std::string SerializeKey(const Row& key) {
   std::string out;
-  for (const Value& v : key) {
-    if (v.is_null()) {
-      out.push_back(0);
-    } else if (v.is_int()) {
-      out.push_back(1);
-      PutVarintSigned64(&out, v.AsInt());
-    } else if (v.is_double()) {
-      double d = v.AsDouble();
-      // Integral doubles serialize like ints so 3 == 3.0 joins correctly.
-      if (d == static_cast<int64_t>(d)) {
-        out.push_back(1);
-        PutVarintSigned64(&out, static_cast<int64_t>(d));
-      } else {
-        out.push_back(2);
-        PutDoubleBits(&out, d);
-      }
-    } else if (v.is_string()) {
-      out.push_back(3);
-      PutLengthPrefixed(&out, v.AsString());
-    } else {
-      out.push_back(4);
-      PutLengthPrefixed(&out, v.ToString());
-    }
-  }
+  for (const Value& v : key) AppendKeyBytes(v, &out);
   return out;
 }
 
@@ -438,6 +450,15 @@ class MapJoinOperator : public Operator {
                               std::to_string(desc_->id));
     }
     tables_ = it->second.get();
+    if (tables_->size() != desc_->mapjoin_small_sides.size()) {
+      return Status::Internal("map join tables do not match its small sides");
+    }
+    for (const auto& side : desc_->mapjoin_small_sides) {
+      if (side.build_keys.size() != desc_->mapjoin_probe_keys.size()) {
+        return Status::Internal("map join build and probe key arity differ");
+      }
+    }
+    matches_.resize(tables_->size());
     return Status::OK();
   }
 
@@ -445,70 +466,70 @@ class MapJoinOperator : public Operator {
     (void)tag;
     // Output layout mirrors the reduce join this operator replaced:
     // keys ++ values(tag 0) ++ values(tag 1) ++ ... with the big side's
-    // values at mapjoin_big_tag. Probe keys are evaluated over the big row;
-    // a NULL probe key never matches (inner) / pads (outer).
-    Row out;
-    out.reserve(desc_->output_width);
+    // values at mapjoin_big_tag. Every small side shares the probe key
+    // tuple, so it is evaluated and serialized once per row; a NULL probe
+    // key never matches (inner) / pads (outer). A row an inner side drops
+    // costs no value evaluation.
+    out_.clear();
+    key_bytes_.clear();
     bool null_key = false;
     for (const ExprPtr& e : desc_->mapjoin_probe_keys) {
-      out.push_back(e->Eval(row));
-      if (out.back().is_null()) null_key = true;
+      out_.push_back(e->Eval(row));
+      if (out_.back().is_null()) null_key = true;
+      AppendKeyBytes(out_.back(), &key_bytes_);
     }
-    return Expand(row, /*next_tag=*/0, /*side_index=*/0, null_key, &out);
+    for (size_t s = 0; s < matches_.size(); ++s) {
+      matches_[s] = nullptr;
+      if (!null_key) {
+        const auto& rows = (*tables_)[s]->rows;
+        auto it = rows.find(std::string_view(key_bytes_));
+        if (it != rows.end() && !it->second.empty()) matches_[s] = &it->second;
+      }
+      if (matches_[s] == nullptr &&
+          desc_->mapjoin_small_sides[s].side == JoinSideKind::kInner) {
+        return Status::OK();
+      }
+    }
+    return Expand(row, /*next_tag=*/0, /*side_index=*/0);
   }
 
  private:
   /// Emits one output row per combination of small-side matches, walking
   /// tag slots in order so the layout matches the original reduce join.
-  Status Expand(const Row& big_row, int next_tag, size_t side_index,
-                bool null_key, Row* out) {
-    int total_tags =
-        static_cast<int>(desc_->mapjoin_small_sides.size()) + 1;
-    if (next_tag == total_tags) return ForwardRow(*out);
-    size_t base = out->size();
+  Status Expand(const Row& big_row, int next_tag, size_t side_index) {
+    const int total_tags = static_cast<int>(matches_.size()) + 1;
+    if (next_tag == total_tags) return ForwardRow(out_);
+    const size_t base = out_.size();
     if (next_tag == desc_->mapjoin_big_tag) {
       for (const ExprPtr& e : desc_->mapjoin_big_values) {
-        out->push_back(e->Eval(big_row));
+        out_.push_back(e->Eval(big_row));
       }
-      MINIHIVE_RETURN_IF_ERROR(
-          Expand(big_row, next_tag + 1, side_index, null_key, out));
-      out->resize(base);
+      MINIHIVE_RETURN_IF_ERROR(Expand(big_row, next_tag + 1, side_index));
+      out_.resize(base);
       return Status::OK();
     }
-    const auto& side = desc_->mapjoin_small_sides[side_index];
-    const MapJoinHashTable& table = *(*tables_)[side_index];
-    const std::vector<Row>* matches = nullptr;
-    if (!null_key) {
-      Row key;
-      key.reserve(side.build_keys.size());
-      for (size_t k = 0; k < side.build_keys.size(); ++k) {
-        // Probe key k of the shared key tuple (all sides share the join
-        // key columns in a converted 2-way join).
-        key.push_back(desc_->mapjoin_probe_keys[k]->Eval(big_row));
-      }
-      auto it = table.rows.find(SerializeKey(key));
-      if (it != table.rows.end() && !it->second.empty()) {
-        matches = &it->second;
-      }
-    }
+    const std::vector<Row>* matches = matches_[side_index];
     if (matches == nullptr) {
-      if (side.side == JoinSideKind::kInner) return Status::OK();
-      out->insert(out->end(), side.build_values.size(), Value::Null());
-      MINIHIVE_RETURN_IF_ERROR(
-          Expand(big_row, next_tag + 1, side_index + 1, null_key, out));
-      out->resize(base);
+      out_.insert(out_.end(),
+                  desc_->mapjoin_small_sides[side_index].build_values.size(),
+                  Value::Null());
+      MINIHIVE_RETURN_IF_ERROR(Expand(big_row, next_tag + 1, side_index + 1));
+      out_.resize(base);
       return Status::OK();
     }
     for (const Row& match : *matches) {
-      out->insert(out->end(), match.begin(), match.end());
-      MINIHIVE_RETURN_IF_ERROR(
-          Expand(big_row, next_tag + 1, side_index + 1, null_key, out));
-      out->resize(base);
+      out_.insert(out_.end(), match.begin(), match.end());
+      MINIHIVE_RETURN_IF_ERROR(Expand(big_row, next_tag + 1, side_index + 1));
+      out_.resize(base);
     }
     return Status::OK();
   }
 
   const MapJoinTables* tables_ = nullptr;
+  // Per-row scratch, reused across rows.
+  Row out_;
+  std::string key_bytes_;
+  std::vector<const std::vector<Row>*> matches_;  // Per small side.
 };
 
 // ---------------------------------------------------------------- ReduceSink

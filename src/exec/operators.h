@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -58,9 +59,20 @@ class PipelineProfile {
   std::map<int, std::string> labels_;
 };
 
+/// Hashes serialized keys by their bytes; transparent, so a probe looks up
+/// a std::string_view without building a std::string.
+struct KeyBytesHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view bytes) const {
+    return std::hash<std::string_view>{}(bytes);
+  }
+};
+
 /// A built map-join hash table: join key (serialized) -> build-value rows.
 struct MapJoinHashTable {
-  std::unordered_map<std::string, std::vector<Row>> rows;
+  std::unordered_map<std::string, std::vector<Row>, KeyBytesHash,
+                     std::equal_to<>>
+      rows;
   uint64_t approx_bytes = 0;
   /// Charge against the query's node of the memory accounting tree (session
   /// mode). Held for the table's lifetime; released when the table dies.

@@ -60,6 +60,13 @@ std::string OpDesc::DebugString(int indent) const {
       break;
     case OpKind::kMapJoin:
       s += " small_sides=" + std::to_string(mapjoin_small_sides.size());
+      for (const MapJoinSmallSide& side : mapjoin_small_sides) {
+        s += " [" + side.table_name;
+        if (side.build_filter != nullptr) {
+          s += " build_filter=" + side.build_filter->ToString();
+        }
+        s += "]";
+      }
       break;
     case OpKind::kFileSink:
       s += " path=" + sink_path_prefix;

@@ -1,5 +1,7 @@
 #include "orc/sarg.h"
 
+#include <cmath>
+
 #include "vec/simd.h"
 
 namespace minihive::orc {
@@ -16,7 +18,10 @@ bool GetRange(const ColumnStatistics& stats, const Value& literal, Value* min,
       *max = Value::Int(stats.int_max());
       return true;
     }
-    if (stats.has_double_stats()) {
+    // A NaN bound (a unit whose first value was NaN keeps NaN as both
+    // bounds) says nothing about the unit's numbers.
+    if (stats.has_double_stats() && !std::isnan(stats.double_min()) &&
+        !std::isnan(stats.double_max())) {
       *min = Value::Double(stats.double_min());
       *max = Value::Double(stats.double_max());
       return true;
@@ -39,8 +44,10 @@ TruthValue CompareAgainstRange(PredicateOp op, const Value& lit,
       if (lit.Compare(min) < 0 || lit.Compare(max) > 0) return TruthValue::kNo;
       return TruthValue::kMaybe;
     case PredicateOp::kNotEquals:
-      // Definitely false only when every value equals the literal.
-      if (min.Compare(max) == 0 && lit.Compare(min) == 0) {
+      // Definitely false only when every value equals the literal. Double
+      // statistics do not count NaNs, which != keeps, so they never prune.
+      if (!min.is_double() && min.Compare(max) == 0 &&
+          lit.Compare(min) == 0) {
         return TruthValue::kNo;
       }
       return TruthValue::kMaybe;

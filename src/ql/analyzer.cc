@@ -352,6 +352,8 @@ Result<SubPlan> QueryPlanner::PlanQuery(const AstQuery& query,
     MINIHIVE_ASSIGN_OR_RETURN(plan, PlanJoin(std::move(plan), join));
   }
 
+  // The WHERE clause lands above the last join; PushdownIntoScans moves
+  // each conjunct down to the join input that supplies its columns.
   if (query.where != nullptr) {
     Resolver resolver(&plan.columns);
     MINIHIVE_ASSIGN_OR_RETURN(ExprPtr pred, resolver.Resolve(*query.where));

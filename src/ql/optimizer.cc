@@ -166,9 +166,155 @@ void CollectConjunctExprs(const ExprPtr& e, std::vector<ExprPtr>* out) {
   }
 }
 
+// ====================================================================
+// Predicate placement through joins
+// ====================================================================
+
+ExprPtr AndAll(const std::vector<ExprPtr>& conjuncts) {
+  ExprPtr combined;
+  for (const ExprPtr& c : conjuncts) {
+    combined = combined == nullptr ? c
+                                   : Expr::Binary(ExprKind::kAnd, combined, c);
+  }
+  return combined;
+}
+
+/// The join input (tag) a conjunct over `join`'s output can move into, with
+/// the conjunct rewritten over that input's rows in *moved; -1 when it must
+/// stay. Join output is keys ++ values(tag 0) ++ values(tag 1): a conjunct
+/// moves when every column it reads is a value of one input that the input's
+/// ReduceSink copies from a plain column. The null-supplying side of a LEFT
+/// OUTER join never qualifies (its columns are NULL on padded rows).
+int TargetInput(const OpDesc& join, const OpDesc* const rs[2],
+                const Expr& conjunct, ExprPtr* moved) {
+  std::vector<int> columns;
+  conjunct.CollectColumns(&columns);
+  if (columns.empty()) return -1;
+  int offset = join.join_key_width;
+  for (int tag = 0; tag < 2; ++tag) {
+    const int width = join.join_value_widths[tag];
+    const bool preserved =
+        tag == 0 || join.join_sides[1] == exec::JoinSideKind::kInner;
+    if (preserved && columns.front() >= offset &&
+        columns.back() < offset + width) {
+      std::vector<int> mapping(join.output_width, -1);
+      for (int c : columns) {
+        const size_t v = static_cast<size_t>(c - offset);
+        if (v >= rs[tag]->sink_values.size() ||
+            rs[tag]->sink_values[v]->kind() != ExprKind::kColumn) {
+          return -1;
+        }
+        mapping[c] = rs[tag]->sink_values[v]->column_index();
+      }
+      *moved = conjunct.RemapColumns(mapping);
+      return tag;
+    }
+    offset += width;
+  }
+  return -1;
+}
+
+/// Adds `conjunct` to the pipeline feeding `rs`, immediately before it:
+/// into the Filter already there, or into a new one.
+void FilterBeforeSink(OpDesc* rs, const ExprPtr& conjunct) {
+  OpDesc* parent = rs->parents[0];
+  if (parent->kind == OpKind::kFilter && parent->children.size() == 1) {
+    parent->predicate =
+        Expr::Binary(ExprKind::kAnd, parent->predicate, conjunct);
+    return;
+  }
+  OpDescPtr filter = MakeOp(OpKind::kFilter);
+  filter->predicate = conjunct;
+  filter->output_width = parent->output_width;
+  for (OpDescPtr& child : parent->children) {
+    if (child.get() != rs) continue;
+    filter->children.push_back(child);
+    child = filter;
+  }
+  filter->parents.push_back(parent);
+  rs->parents[0] = filter.get();
+}
+
+/// Removes a single-parent Filter, wiring its children to its parent.
+void SpliceOutFilter(OpDesc* filter) {
+  OpDesc* parent = filter->parents[0];
+  auto& siblings = parent->children;
+  auto it = std::find_if(siblings.begin(), siblings.end(),
+                         [&](const OpDescPtr& c) { return c.get() == filter; });
+  OpDescPtr keep_alive = *it;
+  it = siblings.erase(it);
+  siblings.insert(it, filter->children.begin(), filter->children.end());
+  for (const OpDescPtr& child : filter->children) {
+    std::replace(child->parents.begin(), child->parents.end(), filter, parent);
+  }
+}
+
+/// Moves the conjuncts of the Filters directly below one 2-input Join into
+/// its inputs (TargetInput); returns whether any moved.
+bool PlaceBelowJoin(OpDesc* join) {
+  if (join->join_num_inputs != 2 || join->parents.size() != 2 ||
+      join->join_value_widths.size() != 2 || join->join_sides.size() != 2) {
+    return false;
+  }
+  OpDesc* rs[2] = {nullptr, nullptr};
+  for (OpDesc* parent : join->parents) {
+    if (parent->kind == OpKind::kReduceSink && parent->parents.size() == 1 &&
+        parent->sink_tag >= 0 && parent->sink_tag < 2) {
+      rs[parent->sink_tag] = parent;
+    }
+  }
+  if (rs[0] == nullptr || rs[1] == nullptr) return false;
+  std::vector<OpDesc*> chain;
+  for (OpDesc* cur = join; cur->children.size() == 1;) {
+    OpDesc* next = cur->children[0].get();
+    if (next->kind != OpKind::kFilter || next->parents.size() != 1) break;
+    chain.push_back(next);
+    cur = next;
+  }
+  bool moved_any = false;
+  for (OpDesc* filter : chain) {
+    std::vector<ExprPtr> conjuncts, kept;
+    CollectConjunctExprs(filter->predicate, &conjuncts);
+    for (const ExprPtr& c : conjuncts) {
+      ExprPtr moved;
+      const int tag = TargetInput(*join, rs, *c, &moved);
+      if (tag < 0) {
+        kept.push_back(c);
+      } else {
+        FilterBeforeSink(rs[tag], moved);
+      }
+    }
+    if (kept.size() == conjuncts.size()) continue;
+    moved_any = true;
+    if (kept.empty()) {
+      SpliceOutFilter(filter);
+    } else {
+      filter->predicate = AndAll(kept);
+    }
+  }
+  return moved_any;
+}
+
+/// Sinks WHERE conjuncts through joins to the lowest input that supplies
+/// their columns, repeating until no conjunct moves.
+void PlaceJoinPredicates(PlannedQuery* plan) {
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    std::vector<OpDescPtr> ops;
+    CollectOps(plan->roots, &ops);
+    for (const OpDescPtr& op : ops) {
+      if (op->kind == OpKind::kJoin && PlaceBelowJoin(op.get())) {
+        changed = true;
+      }
+    }
+  }
+}
+
 }  // namespace
 
 Status PushdownIntoScans(PlannedQuery* plan, bool attach_sargs) {
+  PlaceJoinPredicates(plan);
   std::vector<OpDescPtr> ops;
   CollectOps(plan->roots, &ops);
   for (const OpDescPtr& scan : plan->roots) {

@@ -7,13 +7,17 @@
 
 namespace minihive::ql {
 
-/// Column pruning + predicate pushdown into scans: sets each TableScan's
-/// projection to the columns its pipeline actually uses, and converts
-/// SARG-able filter conjuncts (col op literal) into a SearchArgument the
-/// ORC reader evaluates against its statistics (paper §4.2).
-/// `attach_sargs` controls predicate pushdown only; column pruning always
-/// runs (it is baseline Hive behaviour, not one of the paper's
-/// advancements).
+/// Predicate placement, column pruning + predicate pushdown into scans.
+/// First moves each conjunct of a Filter below a join into the lowest join
+/// input that supplies all its columns, just before that input's
+/// ReduceSink (never into the null-supplying side of a LEFT OUTER join;
+/// conjuncts reading no column, a join key or a computed value stay put).
+/// Then sets each TableScan's projection to the columns its pipeline
+/// actually uses, and converts SARG-able filter conjuncts (col op literal)
+/// into a SearchArgument the ORC reader evaluates against its statistics
+/// (paper §4.2). `attach_sargs` controls SARG attachment only; placement
+/// and column pruning always run (they are baseline Hive behaviour, not
+/// among the paper's advancements).
 Status PushdownIntoScans(PlannedQuery* plan, bool attach_sargs);
 
 /// Converts eligible Reduce Joins into Map Joins (paper §5.1): a join side

@@ -1,6 +1,7 @@
 #include "vec/vectorized_pipeline.h"
 
 #include <bit>
+#include <cmath>
 #include <cstring>
 #include <functional>
 
@@ -441,17 +442,34 @@ class VectorHashAggregator {
       case AggKind::kMin:
       case AggKind::kMax:
         if (spec.kind == AggKind::kMin) {
-          UpdateExtreme(col, rows, n, s, std::less<>());
+          UpdateExtreme(col, rows, n, s, TotalLess());
         } else {
-          UpdateExtreme(col, rows, n, s, std::greater<>());
+          UpdateExtreme(col, rows, n, s, TotalGreater());
         }
         return;
     }
   }
 
+  /// Value::Compare's order on unboxed values: NaN after every number.
+  struct TotalLess {
+    template <typename T>
+    bool operator()(const T& a, const T& b) const {
+      return a < b;
+    }
+    bool operator()(double a, double b) const {
+      return a < b || (std::isnan(b) && !std::isnan(a));
+    }
+  };
+  struct TotalGreater {
+    template <typename T>
+    bool operator()(const T& a, const T& b) const {
+      return TotalLess()(b, a);
+    }
+  };
+
   /// MIN/MAX with typed state: a value replaces the extreme only when
-  /// `better(value, extreme)`, so ties and NaNs keep the first value seen,
-  /// as Value::Compare does on boxed values.
+  /// `better(value, extreme)`, so ties keep the first value seen, as
+  /// AggBuffer does with Value::Compare on boxed values.
   template <typename Better>
   void UpdateExtreme(const ColumnVector* col, const int* rows, int n,
                      AggStates* s, Better better) {

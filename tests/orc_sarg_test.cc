@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "vec/simd.h"
 
 namespace minihive::orc {
@@ -38,6 +40,29 @@ TEST(SargLeafTest, IntComparisons) {
   EXPECT_EQ(eval(PredicateOp::kGreaterThan, 20), TruthValue::kNo);
   EXPECT_EQ(eval(PredicateOp::kGreaterThan, 19), TruthValue::kMaybe);
   EXPECT_EQ(eval(PredicateOp::kGreaterThanEquals, 21), TruthValue::kNo);
+}
+
+TEST(SargLeafTest, NaNInDoubleUnitsIsNeverPruned) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto eval = [](const ColumnStatistics& stats, PredicateOp op, double lit) {
+    return SearchArgument::EvaluateLeaf({0, op, Value::Double(lit), {}, {}},
+                                        stats);
+  };
+  // NaN after a number leaves the bounds at that number, yet NaN != 2.5.
+  ColumnStatistics hidden;
+  hidden.UpdateDouble(2.5);
+  hidden.UpdateDouble(nan);
+  EXPECT_EQ(eval(hidden, PredicateOp::kNotEquals, 2.5), TruthValue::kMaybe);
+  EXPECT_EQ(eval(hidden, PredicateOp::kGreaterThan, 2.5), TruthValue::kNo);
+  // NaN first makes both bounds NaN: they say nothing about the numbers.
+  ColumnStatistics first;
+  first.UpdateDouble(nan);
+  first.UpdateDouble(1.0);
+  for (PredicateOp op : {PredicateOp::kEquals, PredicateOp::kLessThan,
+                         PredicateOp::kGreaterThanEquals,
+                         PredicateOp::kNotEquals}) {
+    EXPECT_EQ(eval(first, op, 1.0), TruthValue::kMaybe);
+  }
 }
 
 TEST(SargLeafTest, Between) {

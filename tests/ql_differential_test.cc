@@ -368,20 +368,20 @@ TEST_F(DifferentialTest, TypedAggregatesAgreeAcrossEngines) {
   // Group-by shapes the lineitem grammar never produces: NULL, boolean and
   // special-double keys, string keys that arrive as repeating vectors, and
   // MIN/MAX of every argument type. Double arguments are multiples of 0.25
-  // so sums are exact in any order and results compare exactly. NaN keys
-  // sit in a column of their own: Value::Compare finds NaN equal to every
-  // number, so the shuffle's sort cannot order NaN against other doubles.
+  // so sums are exact in any order and results compare exactly. NaN and
+  // -NaN sit beside ordinary numbers in k_dbl (Value::Compare sorts every
+  // NaN after the numbers, as one group) and alone in k_nan.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   std::vector<Row> rows;
   for (int64_t i = 0; i < 4000; ++i) {
-    const double dbl_keys[] = {-0.0, 0.0, 2.5, 0.25 * (i % 9)};
+    const double dbl_keys[] = {-0.0, 0.0, 2.5, nan, -nan, 0.25 * (i % 9)};
     rows.push_back(
         {i % 9 == 0 ? Value::Null() : Value::Int((i * 131) % 1200),
          i < 1500 ? Value::String("run")
                   : (i % 7 == 0 ? Value::Null()
                                 : Value::String(std::string(1 + i % 12, 'x') +
                                                 std::to_string(i % 5))),
-         i % 8 == 7 ? Value::Null() : Value::Double(dbl_keys[i % 4]),
+         i % 8 == 7 ? Value::Null() : Value::Double(dbl_keys[i % 6]),
          i % 3 == 0 ? Value::Null() : Value::Double(i % 3 == 1 ? nan : -nan),
          i % 5 == 0 ? Value::Null() : Value::Bool(i % 3 == 0),
          i % 11 == 0 ? Value::Null() : Value::Int((i * 37) % 501 - 250),
@@ -441,6 +441,52 @@ TEST_F(DifferentialTest, TypedAggregatesAgreeAcrossEngines) {
     ASSERT_TRUE(vec_result.ok())
         << sql << ": " << vec_result.status().ToString();
     EXPECT_EQ(ExactRows(row_result->rows), ExactRows(vec_result->rows)) << sql;
+  }
+  // Filters over a column mixing NaN, -NaN, NULL and numbers: both engines
+  // follow IEEE semantics (NaN fails every comparison but !=), and neither
+  // the SARG nor late materialization drops a row the filter keeps.
+  const struct {
+    const char* predicate;
+    bool (*keep)(double);
+  } nan_filters[] = {
+      {"k_dbl = 2.5", [](double d) { return d == 2.5; }},
+      {"k_dbl != 2.5", [](double d) { return d != 2.5; }},
+      {"k_dbl < 1", [](double d) { return d < 1; }},
+      {"k_dbl >= 0.5", [](double d) { return d >= 0.5; }},
+      {"k_dbl > 1000000", [](double d) { return d > 1000000; }},
+      {"k_dbl BETWEEN 0.25 AND 2", [](double d) { return d >= 0.25 && d <= 2; }},
+      {"k_nan != 0", [](double d) { return d != 0; }},
+      {"k_nan <= 0", [](double d) { return d <= 0; }},
+  };
+  // MIN/MAX over NaN-bearing doubles: both engines order NaN above every
+  // number, as Value::Compare does.
+  {
+    const std::string sql =
+        "SELECT k_bool, MIN(k_dbl) AS lo, MAX(k_dbl) AS hi, MIN(k_nan) AS nlo, "
+        "MAX(k_nan) AS nhi FROM typed GROUP BY k_bool";
+    auto row_result = Execute(sql, /*vectorized=*/false);
+    auto vec_result = Execute(sql, /*vectorized=*/true);
+    ASSERT_TRUE(row_result.ok() && vec_result.ok()) << sql;
+    EXPECT_EQ(ExactRows(row_result->rows), ExactRows(vec_result->rows)) << sql;
+    for (const Row& row : row_result->rows) {
+      EXPECT_TRUE(std::isnan(row[2].AsDouble())) << sql;
+    }
+  }
+  for (const auto& f : nan_filters) {
+    const int column = std::string(f.predicate).rfind("k_nan", 0) == 0 ? 3 : 2;
+    int64_t expected = 0;
+    for (const Row& row : rows) {
+      if (!row[column].is_null() && f.keep(row[column].AsDouble())) ++expected;
+    }
+    const std::string sql =
+        std::string("SELECT COUNT(*) FROM typed WHERE ") + f.predicate;
+    for (bool vectorized : {false, true}) {
+      auto result = Execute(sql, vectorized);
+      ASSERT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+      ASSERT_EQ(result->rows.size(), 1u) << sql;
+      EXPECT_EQ(result->rows[0][0].AsInt(), expected)
+          << sql << (vectorized ? " (vectorized)" : " (row mode)");
+    }
   }
 }
 

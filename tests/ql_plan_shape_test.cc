@@ -101,6 +101,27 @@ TEST_F(PlanShapeTest, MapJoinConversionRemovesReduceJoin) {
   EXPECT_EQ(plan.plan_text.find(" JOIN_"), std::string::npos);
 }
 
+TEST_F(PlanShapeTest, ExplainShowsMapJoinBuildSides) {
+  DriverOptions options;
+  options.mapjoin_conversion = true;
+  options.merge_maponly_jobs = true;
+  QueryResult plan = Plan(
+      "SELECT fact.k FROM fact JOIN dim ON fact.k = dim.k "
+      "WHERE dim.name = 'd5' AND fact.v > 1",
+      options);
+  // Each WHERE conjunct moved below the join: the one over dim filters the
+  // hash table as it is built, the one over fact runs in fact's scan
+  // pipeline ahead of the probe.
+  EXPECT_NE(plan.plan_text.find(
+                "small_sides=1 [dim build_filter=(c0 IS NOT NULL AND "
+                "(c1 = d5))]"),
+            std::string::npos)
+      << plan.plan_text;
+  const size_t probe_filter = plan.plan_text.find("(c1 > 1)");
+  ASSERT_NE(probe_filter, std::string::npos) << plan.plan_text;
+  EXPECT_LT(probe_filter, plan.plan_text.find("MAPJOIN_"));
+}
+
 TEST_F(PlanShapeTest, UnmergedConversionLeavesMapOnlyJob) {
   DriverOptions options;
   options.mapjoin_conversion = true;
